@@ -17,7 +17,7 @@ import json
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -25,14 +25,13 @@ from . import evaluate as ev
 from .extract import (
     ExtractionConfig,
     PopMap,
-    attach_singletons,
     extract_pops,
     load_popmap,
     save_popmap,
     threshold_sweep,
 )
 from .geodb import GeoDatabase, load_null_coords, load_point_db, load_range_db
-from .ingest import ParseError, aggregate_edges, annotate_as, load_ip2as, parse_observations
+from .ingest import ParseError, aggregate_edges, load_ip2as, parse_observations
 from .locate import VoteConfig, locate_pop, save_locations
 from .synth import SynthDbSpec, SynthSpec, generate_scenario, write_scenario
 
@@ -225,7 +224,6 @@ def build_run_config(args) -> RunConfig:
         extraction = ExtractionConfig(
             pop_max_delay_ms=_getfloat(cp, "extract", "pop_max_delay_ms", 5.0),
             pop_min_measurements=_getint(cp, "extract", "pop_min_measurements", 5),
-            group_merge_delay_ms=_optional_float(cp, "extract", "group_merge_delay_ms"),
             singleton_max_links=_getint(cp, "extract", "singleton_max_links", 2),
             singleton_max_median_ms=_optional_float(cp, "extract", "singleton_max_median_ms"),
         )
@@ -340,8 +338,8 @@ def cmd_extract(cfg: RunConfig) -> int:
         prefix_map = load_ip2as(fh)
 
     edges = aggregate_edges(observations)
-    core = extract_pops(edges, prefix_map, cfg.extraction, with_singletons=False)
-    full = attach_singletons(core, annotate_as(edges, prefix_map), cfg.extraction)
+    full = extract_pops(edges, prefix_map, cfg.extraction, with_singletons=True)
+    core = PopMap(tuple(replace(pop, singleton_members=frozenset()) for pop in full.pops))
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     core_path, full_path = _popmap_paths(cfg)

@@ -2,11 +2,11 @@
 
 A PoP is a group of interfaces of one AS joined by short, well-measured
 edges. The pipeline filters the edge list by delay, measurement count and
-same-AS membership, splits the survivors into connected components, divides
-each component along its parent/child measurement structure, re-merges
-collocated groups by weighted delay, and finally unifies loosely connected
-candidates. Interfaces with one or two links can be attached afterwards as
-singleton members of the nearest PoP.
+same-AS membership, and each connected component of the surviving graph is
+one PoP. No merge step follows: every surviving edge is already at most
+pop_max_delay_ms long, so any split of a component would be re-joined by a
+merge at that threshold. Interfaces with one or two links can be attached
+afterwards as singleton members of the nearest PoP.
 """
 
 from __future__ import annotations
@@ -26,14 +26,12 @@ from .iputil import ip_to_int, sort_ips
 class ExtractionConfig:
     """Thresholds steering PoP extraction.
 
-    group_merge_delay_ms and singleton_max_median_ms default to
-    pop_max_delay_ms when left as None, so sweeps over the main delay
-    threshold move them along.
+    singleton_max_median_ms defaults to pop_max_delay_ms when left as None,
+    so sweeps over the main delay threshold move it along.
     """
 
     pop_max_delay_ms: float = 5.0
     pop_min_measurements: int = 5
-    group_merge_delay_ms: Optional[float] = None
     singleton_max_links: int = 2
     singleton_max_median_ms: Optional[float] = None
 
@@ -42,16 +40,10 @@ class ExtractionConfig:
             raise ValueError("pop_max_delay_ms must be positive")
         if self.pop_min_measurements < 1:
             raise ValueError("pop_min_measurements must be >= 1")
-        if self.group_merge_delay_ms is not None and self.group_merge_delay_ms <= 0:
-            raise ValueError("group_merge_delay_ms must be positive")
         if self.singleton_max_links < 0:
             raise ValueError("singleton_max_links must be >= 0")
         if self.singleton_max_median_ms is not None and self.singleton_max_median_ms <= 0:
             raise ValueError("singleton_max_median_ms must be positive")
-
-    @property
-    def merge_delay_ms(self) -> float:
-        return self.pop_max_delay_ms if self.group_merge_delay_ms is None else self.group_merge_delay_ms
 
     @property
     def singleton_median_ms(self) -> float:
@@ -121,8 +113,6 @@ class _DisjointSets:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self._parent[rb] = ra
-            return True
-        return False
 
     def classes(self) -> dict:
         groups = defaultdict(list)
@@ -155,136 +145,6 @@ def connected_components(edges: Sequence[DelayEdge]) -> list[set[str]]:
     comps = [set(members) for members in dsu.classes().values()]
     comps.sort(key=lambda c: min(ip_to_int(ip) for ip in c))
     return comps
-
-
-def _edges_within(component: set[str], edges: Sequence[DelayEdge]) -> list[DelayEdge]:
-    return [e for e in edges if e.src in component and e.dst in component]
-
-
-def classify_bipartite(component: set[str], edges: Sequence[DelayEdge]) -> tuple[set[str], set[str]]:
-    """Split a component into parents and children by measurement direction.
-
-    An interface whose directed out-degree inside the component is at least
-    its in-degree is a parent; otherwise it is a child. The >= tie rule keeps
-    mixed-direction nodes deterministic.
-    """
-    out_deg: dict[str, int] = defaultdict(int)
-    in_deg: dict[str, int] = defaultdict(int)
-    for e in _edges_within(component, edges):
-        out_deg[e.src] += 1
-        in_deg[e.dst] += 1
-    parents = {ip for ip in component if out_deg[ip] >= in_deg[ip]}
-    return parents, component - parents
-
-
-def weighted_group_distance(
-    group_a: set[str], group_b: set[str], edges: Sequence[DelayEdge]
-) -> Optional[float]:
-    """Measurement-count-weighted mean delay over edges crossing the two groups.
-
-    Returns None when no edge crosses them in either direction.
-    """
-    total_weight = 0
-    total = 0.0
-    for e in edges:
-        if (e.src in group_a and e.dst in group_b) or (e.src in group_b and e.dst in group_a):
-            total += e.median_delay_ms * e.count
-            total_weight += e.count
-    if total_weight == 0:
-        return None
-    return total / total_weight
-
-
-def _group_by_shared_neighbors(side: set[str], neighbor_sets: dict[str, set[str]]) -> list[set[str]]:
-    """Partition `side` into transitive groups sharing at least one neighbor."""
-    dsu = _DisjointSets(side)
-    owners: dict[str, str] = {}
-    for node in sorted(side):
-        for nb in neighbor_sets.get(node, ()):
-            if nb in owners:
-                dsu.union(owners[nb], node)
-            else:
-                owners[nb] = node
-    return [set(members) for members in dsu.classes().values()]
-
-
-def partition_collocations(
-    parents: set[str],
-    children: set[str],
-    edges: Sequence[DelayEdge],
-    cfg: ExtractionConfig,
-) -> list[set[str]]:
-    """Divide one component's parents and children into collocated candidates.
-
-    Parents sharing a child are grouped transitively, children symmetrically;
-    every connected (parent group, child group) pair whose weighted distance
-    is at most the merge threshold is then fused into one candidate.
-    """
-    component = parents | children
-    cedges = _edges_within(component, edges)
-
-    children_of: dict[str, set[str]] = defaultdict(set)
-    parents_of: dict[str, set[str]] = defaultdict(set)
-    for e in cedges:
-        a, b = e.src, e.dst
-        for p, c in ((a, b), (b, a)):
-            if p in parents and c in children:
-                children_of[p].add(c)
-                parents_of[c].add(p)
-
-    groups = _group_by_shared_neighbors(parents, children_of)
-    groups += _group_by_shared_neighbors(children, parents_of)
-    groups.sort(key=lambda g: min(ip_to_int(ip) for ip in g))
-    if not groups:
-        return []
-
-    dsu = _DisjointSets(range(len(groups)))
-    for i in range(len(groups)):
-        for j in range(i + 1, len(groups)):
-            dist = weighted_group_distance(groups[i], groups[j], cedges)
-            if dist is not None and dist <= cfg.merge_delay_ms:
-                dsu.union(i, j)
-
-    candidates = []
-    for members in dsu.classes().values():
-        merged: set[str] = set()
-        for idx in members:
-            merged |= groups[idx]
-        candidates.append(merged)
-    candidates.sort(key=lambda c: min(ip_to_int(ip) for ip in c))
-    return candidates
-
-
-def unify_pops(
-    candidates: list[set[str]], edges: Sequence[DelayEdge], cfg: ExtractionConfig
-) -> list[set[str]]:
-    """Merge candidates joined by short links until nothing more merges.
-
-    Each pass fuses every candidate pair whose weighted distance is at most
-    pop_max_delay_ms, so the fixpoint does not depend on input order.
-    """
-    work = [set(c) for c in candidates]
-    while True:
-        if len(work) < 2:
-            break
-        dsu = _DisjointSets(range(len(work)))
-        changed = False
-        for i in range(len(work)):
-            for j in range(i + 1, len(work)):
-                dist = weighted_group_distance(work[i], work[j], edges)
-                if dist is not None and dist <= cfg.pop_max_delay_ms:
-                    changed |= dsu.union(i, j)
-        if not changed:
-            break
-        merged = []
-        for members in dsu.classes().values():
-            acc: set[str] = set()
-            for idx in members:
-                acc |= work[idx]
-            merged.append(acc)
-        work = merged
-    work.sort(key=lambda c: min(ip_to_int(ip) for ip in c))
-    return work
 
 
 def _as_of_interfaces(edges: Sequence[DelayEdge]) -> dict[str, Optional[int]]:
@@ -351,6 +211,22 @@ def attach_singletons(
     return PopMap(pops, with_singletons=True)
 
 
+def _component_pops(graph: Sequence[DelayEdge]) -> PopMap:
+    """One PoP per connected component of a filtered graph.
+
+    Only a self-loop edge yields a one-interface component; it is dropped,
+    because a PoP needs at least two co-located interfaces to be credible.
+    """
+    as_of = _as_of_interfaces(graph)
+    pops = []
+    for members in connected_components(graph):
+        if len(members) < 2:
+            continue
+        pop_id = min(members, key=ip_to_int)
+        pops.append(PoP(pop_id, as_of[pop_id], frozenset(members)))
+    return PopMap(tuple(pops), with_singletons=False)
+
+
 def extract_pops(
     edges: Sequence[DelayEdge],
     prefix_map: PrefixMap,
@@ -359,32 +235,12 @@ def extract_pops(
 ) -> PopMap:
     """Full extraction pipeline over an aggregated edge list.
 
-    Candidates that end up with a single interface are dropped: a PoP needs
-    at least two co-located interfaces to be credible.
+    Annotates AS numbers, filters the graph, and returns one PoP per
+    connected component, ordered by id; with_singletons also attaches
+    low-degree leftover interfaces.
     """
     annotated = annotate_as(edges, prefix_map)
-    graph = filter_graph(annotated, cfg)
-    as_of = _as_of_interfaces(graph)
-
-    components = connected_components(graph)
-    comp_index = {ip: i for i, comp in enumerate(components) for ip in comp}
-    edges_by_comp: list[list[DelayEdge]] = [[] for _ in components]
-    for e in graph:
-        edges_by_comp[comp_index[e.src]].append(e)
-
-    pops = []
-    for component, comp_edges in zip(components, edges_by_comp):
-        parents, children = classify_bipartite(component, comp_edges)
-        candidates = partition_collocations(parents, children, comp_edges, cfg)
-        candidates = unify_pops(candidates, comp_edges, cfg)
-        for members in candidates:
-            if len(members) < 2:
-                continue
-            pop_id = min(members, key=ip_to_int)
-            pops.append(PoP(pop_id, as_of[pop_id], frozenset(members)))
-
-    pops.sort(key=lambda p: ip_to_int(p.id))
-    popmap = PopMap(tuple(pops), with_singletons=False)
+    popmap = _component_pops(filter_graph(annotated, cfg))
     if with_singletons:
         popmap = attach_singletons(popmap, annotated, cfg)
     return popmap
@@ -399,15 +255,16 @@ def threshold_sweep(
     """Re-run extraction for each delay threshold in an ascending grid.
 
     Returns (threshold_ms, pop_count, ip_count) rows; every other config
-    field is held fixed.
+    field is held fixed. Edges are annotated once for the whole grid.
     """
     if not delay_grid:
         raise ValueError("empty delay grid")
     if any(b <= a for a, b in zip(delay_grid, delay_grid[1:])):
         raise ValueError("delay grid must be strictly ascending")
+    annotated = annotate_as(edges, prefix_map)
     rows = []
     for threshold in delay_grid:
-        popmap = extract_pops(edges, prefix_map, replace(cfg, pop_max_delay_ms=threshold))
+        popmap = _component_pops(filter_graph(annotated, replace(cfg, pop_max_delay_ms=threshold)))
         rows.append((threshold, len(popmap.pops), popmap.core_ip_count()))
     return rows
 

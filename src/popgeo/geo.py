@@ -17,8 +17,8 @@ KM_PER_DEGREE = 111.0
 class GeoCoord:
     """A latitude/longitude pair in degrees.
 
-    Latitude must lie in [-90, 90]. Longitude is wrapped into [-180, 180]
-    at construction time.
+    Latitude must lie in [-90, 90]. Longitude must be finite and is wrapped
+    into [-180, 180] at construction time.
     """
 
     lat: float
@@ -28,6 +28,8 @@ class GeoCoord:
         if not -90.0 <= self.lat <= 90.0:
             raise ValueError(f"latitude {self.lat} outside [-90, 90]")
         if not -180.0 <= self.lon <= 180.0:
+            if not math.isfinite(self.lon):
+                raise ValueError(f"longitude {self.lon} is not finite")
             lon = math.fmod(self.lon + 180.0, 360.0)
             if lon < 0:
                 lon += 360.0

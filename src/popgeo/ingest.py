@@ -8,6 +8,7 @@ measurement count.
 
 import ipaddress
 import logging
+import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from statistics import median
@@ -44,6 +45,8 @@ class DelayObservation:
         ip_to_int(self.dst)
         if self.src == self.dst:
             raise ValueError(f"self-loop observation {self.src}")
+        if not math.isfinite(self.delay_ms):
+            raise ValueError(f"non-finite delay {self.delay_ms}")
         if self.delay_ms < 0:
             raise ValueError(f"negative delay {self.delay_ms}")
 

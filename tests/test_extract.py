@@ -8,16 +8,12 @@ from popgeo.extract import (
     PoP,
     PopMap,
     attach_singletons,
-    classify_bipartite,
     connected_components,
     extract_pops,
     filter_graph,
     load_popmap,
-    partition_collocations,
     save_popmap,
     threshold_sweep,
-    unify_pops,
-    weighted_group_distance,
 )
 from popgeo.ingest import aggregate_edges, annotate_as, load_ip2as
 from popgeo.synth import ip2as_lines
@@ -31,12 +27,10 @@ DEFAULT = ExtractionConfig()
 class TestConfig:
     def test_defaults_track_main_threshold(self):
         cfg = ExtractionConfig(pop_max_delay_ms=7.0)
-        assert cfg.merge_delay_ms == 7.0
         assert cfg.singleton_median_ms == 7.0
 
     def test_explicit_values_stick(self):
-        cfg = ExtractionConfig(group_merge_delay_ms=2.0, singleton_max_median_ms=3.0)
-        assert cfg.merge_delay_ms == 2.0
+        cfg = ExtractionConfig(singleton_max_median_ms=3.0)
         assert cfg.singleton_median_ms == 3.0
 
     @pytest.mark.parametrize(
@@ -45,7 +39,6 @@ class TestConfig:
             {"pop_max_delay_ms": 0},
             {"pop_max_delay_ms": -1},
             {"pop_min_measurements": 0},
-            {"group_merge_delay_ms": 0.0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -95,136 +88,6 @@ class TestConnectedComponents:
     def test_chain(self):
         edges = [edge("10.0.0.1", "10.0.0.2", 1), edge("10.0.0.2", "10.0.0.3", 1)]
         assert connected_components(edges) == [{"10.0.0.1", "10.0.0.2", "10.0.0.3"}]
-
-
-class TestClassifyBipartite:
-    def test_star(self):
-        edges = [edge("10.0.0.9", f"10.0.0.{i}", 1) for i in (1, 2, 3)]
-        comp = {"10.0.0.9", "10.0.0.1", "10.0.0.2", "10.0.0.3"}
-        parents, children = classify_bipartite(comp, edges)
-        assert parents == {"10.0.0.9"}
-        assert children == {"10.0.0.1", "10.0.0.2", "10.0.0.3"}
-
-    def test_tie_is_parent(self):
-        # node .2 has out-degree 2 and in-degree 2
-        edges = [
-            edge("10.0.0.2", "10.0.0.3", 1),
-            edge("10.0.0.2", "10.0.0.4", 1),
-            edge("10.0.0.1", "10.0.0.2", 1),
-            edge("10.0.0.5", "10.0.0.2", 1),
-        ]
-        comp = {f"10.0.0.{i}" for i in range(1, 6)}
-        parents, _ = classify_bipartite(comp, edges)
-        assert "10.0.0.2" in parents
-
-    def test_cascade_middle_tie(self):
-        edges = [edge("10.0.0.1", "10.0.0.2", 1), edge("10.0.0.2", "10.0.0.3", 1)]
-        comp = {"10.0.0.1", "10.0.0.2", "10.0.0.3"}
-        parents, children = classify_bipartite(comp, edges)
-        assert parents == {"10.0.0.1", "10.0.0.2"}
-        assert children == {"10.0.0.3"}
-
-
-class TestWeightedGroupDistance:
-    def test_single_edge(self):
-        edges = [edge("10.0.0.1", "10.0.0.2", 2.0, count=5)]
-        assert weighted_group_distance({"10.0.0.1"}, {"10.0.0.2"}, edges) == 2.0
-
-    def test_weighted_mean(self):
-        edges = [
-            edge("10.0.0.1", "10.0.0.3", 2.0, count=10),
-            edge("10.0.0.2", "10.0.0.4", 6.0, count=10),
-        ]
-        d = weighted_group_distance({"10.0.0.1", "10.0.0.2"}, {"10.0.0.3", "10.0.0.4"}, edges)
-        assert d == 4.0
-
-    def test_weights_matter(self):
-        edges = [
-            edge("10.0.0.1", "10.0.0.3", 2.0, count=30),
-            edge("10.0.0.2", "10.0.0.4", 6.0, count=10),
-        ]
-        d = weighted_group_distance({"10.0.0.1", "10.0.0.2"}, {"10.0.0.3", "10.0.0.4"}, edges)
-        assert d == 3.0
-
-    def test_unconnected(self):
-        edges = [edge("10.0.0.1", "10.0.0.2", 2.0)]
-        assert weighted_group_distance({"10.0.0.1"}, {"10.0.0.9"}, edges) is None
-
-    def test_both_directions_count(self):
-        edges = [
-            edge("10.0.0.1", "10.0.0.2", 2.0, count=5),
-            edge("10.0.0.2", "10.0.0.1", 4.0, count=5),
-        ]
-        assert weighted_group_distance({"10.0.0.1"}, {"10.0.0.2"}, edges) == 3.0
-
-
-class TestPartitionCollocations:
-    def test_full_bipartite_merges(self):
-        parents = {"10.0.0.1", "10.0.0.2"}
-        children = {"10.0.0.3", "10.0.0.4"}
-        edges = [edge(p, c, 1.0) for p in sorted(parents) for c in sorted(children)]
-        cands = partition_collocations(parents, children, edges, DEFAULT)
-        assert cands == [parents | children]
-
-    def test_disjoint_clusters_stay_apart(self):
-        # the long inter-cluster edge is gone (filtered upstream), so the
-        # parent/children pairs share nothing and never merge
-        parents = {"10.0.0.1", "10.0.1.1"}
-        children = {"10.0.0.2", "10.0.1.2"}
-        edges = [edge("10.0.0.1", "10.0.0.2", 1.0), edge("10.0.1.1", "10.0.1.2", 1.0)]
-        cands = partition_collocations(parents, children, edges, DEFAULT)
-        assert cands == [{"10.0.0.1", "10.0.0.2"}, {"10.0.1.1", "10.0.1.2"}]
-
-    def test_parents_sharing_child(self):
-        parents = {"10.0.0.1", "10.0.0.2"}
-        children = {"10.0.0.3"}
-        edges = [edge("10.0.0.1", "10.0.0.3", 1.0), edge("10.0.0.2", "10.0.0.3", 1.0)]
-        cands = partition_collocations(parents, children, edges, DEFAULT)
-        assert cands == [{"10.0.0.1", "10.0.0.2", "10.0.0.3"}]
-
-    def test_merge_respects_threshold(self):
-        cfg = ExtractionConfig(group_merge_delay_ms=0.5)
-        parents = {"10.0.0.1"}
-        children = {"10.0.0.2"}
-        edges = [edge("10.0.0.1", "10.0.0.2", 1.0)]
-        cands = partition_collocations(parents, children, edges, cfg)
-        assert cands == [{"10.0.0.1"}, {"10.0.0.2"}]
-
-
-class TestUnifyPops:
-    def test_short_link_merges(self):
-        cands = [{"10.0.0.1", "10.0.0.2"}, {"10.0.0.3", "10.0.0.4"}]
-        edges = [edge("10.0.0.2", "10.0.0.3", 1.0)]
-        assert unify_pops(cands, edges, DEFAULT) == [{"10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4"}]
-
-    def test_unconnected_unchanged(self):
-        cands = [{"10.0.0.1"}, {"10.0.0.9"}]
-        assert unify_pops(cands, [], DEFAULT) == [{"10.0.0.1"}, {"10.0.0.9"}]
-
-    def test_chain_transitively_merges(self):
-        cands = [{"10.0.0.1"}, {"10.0.0.2"}, {"10.0.0.3"}]
-        edges = [edge("10.0.0.1", "10.0.0.2", 1.0), edge("10.0.0.2", "10.0.0.3", 1.0)]
-        assert unify_pops(cands, edges, DEFAULT) == [{"10.0.0.1", "10.0.0.2", "10.0.0.3"}]
-
-    def test_above_threshold_does_not_merge(self):
-        cands = [{"10.0.0.1"}, {"10.0.0.2"}]
-        edges = [edge("10.0.0.1", "10.0.0.2", 9.0)]
-        assert unify_pops(cands, edges, DEFAULT) == cands
-
-    @given(st.randoms())
-    def test_fixpoint_order_independent(self, rnd):
-        cands = [{"10.0.0.1"}, {"10.0.0.2"}, {"10.0.0.3"}, {"10.0.0.9"}]
-        edges = [
-            edge("10.0.0.1", "10.0.0.2", 4.0),
-            edge("10.0.0.2", "10.0.0.3", 4.5),
-            edge("10.0.0.3", "10.0.0.9", 9.0),
-        ]
-        shuffled_cands = list(cands)
-        rnd.shuffle(shuffled_cands)
-        shuffled_edges = list(edges)
-        rnd.shuffle(shuffled_edges)
-        expected = unify_pops(cands, edges, DEFAULT)
-        assert unify_pops(shuffled_cands, shuffled_edges, DEFAULT) == expected
 
 
 def _two_pop_edges():
@@ -311,6 +174,22 @@ class TestExtractPops:
         assert len(popmap.pops) == 2
         assert popmap.pops[0].core_members == {"10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4"}
         assert popmap.pops[1].core_members == {"10.0.1.1", "10.0.1.2", "10.0.1.3", "10.0.1.4"}
+
+    def test_component_at_threshold_is_one_pop(self):
+        # three parents .1/.3/.5 and two children .2/.4 in a zigzag, every
+        # edge exactly at the threshold: a count-weighted mean of the four
+        # edges rounds to 0.10000000000000002, which must not split the chain
+        edges = _strip_as(
+            [
+                edge("10.0.0.1", "10.0.0.2", 0.1, count=3),
+                edge("10.0.0.3", "10.0.0.2", 0.1, count=3),
+                edge("10.0.0.3", "10.0.0.4", 0.1, count=3),
+                edge("10.0.0.5", "10.0.0.4", 0.1, count=3),
+            ]
+        )
+        cfg = ExtractionConfig(pop_max_delay_ms=0.1, pop_min_measurements=1)
+        popmap = extract_pops(edges, load_ip2as(TWO_POP_IP2AS), cfg)
+        assert [p.core_members for p in popmap.pops] == [{f"10.0.0.{i}" for i in range(1, 6)}]
 
     def test_empty_edge_list(self):
         popmap = extract_pops([], load_ip2as(TWO_POP_IP2AS))
@@ -436,6 +315,16 @@ class TestExtractionOnRandomGraphs:
             assert pop.core_members <= incident
             assert {pmap.lookup(ip) for ip in pop.core_members} == {pop.asn}
 
+    @given(_random_edges)
+    def test_pops_are_filtered_components(self, edges):
+        stripped = _strip_as(edges)
+        pmap = load_ip2as(_RANDOM_GRAPH_IP2AS)
+        annotated = annotate_as(stripped, pmap)
+        for threshold in (1, 3, 5, 9):
+            cfg = ExtractionConfig(pop_max_delay_ms=threshold)
+            popmap = extract_pops(stripped, pmap, cfg)
+            assert [p.core_members for p in popmap.pops] == connected_components(filter_graph(annotated, cfg))
+
     @given(_random_edges, st.randoms())
     def test_permutation_invariance(self, edges, rnd):
         stripped = _strip_as(edges)
@@ -476,6 +365,17 @@ class TestThresholdSweep:
         popmap = extract_pops(edges, prefix_map)
         rows = threshold_sweep(edges, prefix_map, DEFAULT, [5])
         assert rows == [(5, len(popmap.pops), popmap.core_ip_count())]
+
+    def test_multi_point_grid_matches_extract(self, small_scenario):
+        prefix_map = load_ip2as(ip2as_lines(small_scenario))
+        edges = aggregate_edges(list(small_scenario.observations))
+        grid = [0.5, 1.7, 5, 15, 40]
+        expected = []
+        for threshold in grid:
+            popmap = extract_pops(edges, prefix_map, ExtractionConfig(pop_max_delay_ms=threshold))
+            expected.append((threshold, len(popmap.pops), popmap.core_ip_count()))
+        assert len(set(expected)) == len(grid)
+        assert threshold_sweep(edges, prefix_map, DEFAULT, grid) == expected
 
     def test_plateau(self, small_scenario):
         prefix_map = load_ip2as(ip2as_lines(small_scenario))

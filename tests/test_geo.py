@@ -41,6 +41,11 @@ class TestGeoCoord:
     def test_lon_wraps(self, lon, expected):
         assert GeoCoord(0, lon).lon == pytest.approx(expected)
 
+    @pytest.mark.parametrize("lon", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lon_rejected(self, lon):
+        with pytest.raises(ValueError, match="longitude"):
+            GeoCoord(10, lon)
+
     def test_boundary_lons_kept(self):
         assert GeoCoord(0, 180).lon == 180
         assert GeoCoord(0, -180).lon == -180

@@ -111,6 +111,11 @@ class TestPointDb:
         with pytest.raises(ParseError):
             load_point_db(["2.2.2.2,abc,1"], "t")
 
+    @pytest.mark.parametrize("lon", ["nan", "inf"])
+    def test_non_finite_lon_rejected(self, lon):
+        with pytest.raises(ParseError):
+            load_point_db([f"10.0.0.1,10.0,{lon}"], "t")
+
     def test_query_function_matches_method(self):
         db = load_point_db(["2.2.2.2,1,1"], "t")
         assert query(db, "2.2.2.2") == db.query("2.2.2.2")

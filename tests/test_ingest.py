@@ -30,6 +30,14 @@ class TestParseObservations:
         assert len(obs) == 1
         assert "line 1" in caplog.text
 
+    @pytest.mark.parametrize("delay", ["nan", "inf"])
+    def test_non_finite_delay_is_record_error(self, delay):
+        lines = ["1.1.1.1,2.2.2.2,1.0", f"1.1.1.1,2.2.2.2,{delay}", "1.1.1.1,2.2.2.2,2.0"]
+        (e,) = aggregate_edges(parse_observations(lines))
+        assert (e.median_delay_ms, e.count) == (1.5, 2)
+        with pytest.raises(ParseError):
+            parse_observations(lines, max_errors=0)
+
     def test_error_cap_aborts(self):
         with pytest.raises(ParseError):
             parse_observations(["garbage"] * 3, max_errors=2)
