@@ -5,7 +5,7 @@ from .geo import GeoCoord, coordinate_median, deg_to_km, haversine_km
 from .ingest import DelayEdge, DelayObservation, PrefixMap, aggregate_edges, parse_observations
 from .extract import ExtractionConfig, PoP, PopMap, extract_pops, threshold_sweep
 from .geodb import GeoDatabase, GeoRecord, load_point_db, load_range_db, synth_db
-from .locate import IpElement, PoPLocation, VoteConfig, locate_pop, locate_pop_single_db
+from .locate import IpElement, PoPLocation, VoteConfig, locate_pop, locate_popmap
 from .evaluate import (
     AnomalyReport,
     CdfSeries,

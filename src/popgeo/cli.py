@@ -4,7 +4,7 @@ One INI-style config file wires every stage; any value can be overridden on
 the command line (dedicated flags for the common ones, `--set section.key=v`
 for the rest). Relative paths in a config resolve against the config file's
 directory. Data goes to files under the output directory, logs go to stderr,
-and reruns on identical inputs are byte-identical regardless of --threads.
+and reruns on identical inputs are byte-identical.
 
 Exit codes: 0 success, 1 input error, 2 internal invariant violation.
 """
@@ -16,10 +16,9 @@ import configparser
 import json
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import evaluate as ev
 from .extract import (
@@ -32,7 +31,7 @@ from .extract import (
 )
 from .geodb import GeoDatabase, load_null_coords, load_point_db, load_range_db
 from .ingest import ParseError, aggregate_edges, load_ip2as, parse_observations
-from .locate import VoteConfig, locate_pop, save_locations
+from .locate import PoPLocation, VoteConfig, locate_popmap, save_locations
 from .synth import SynthDbSpec, SynthSpec, generate_scenario, write_scenario
 
 log = logging.getLogger("popgeo")
@@ -74,7 +73,6 @@ class RunConfig:
     region_names: list[str]
     sweep_grid: list[float]
     synth: Optional[SynthSpec]
-    threads: int
     with_singletons: bool
 
 
@@ -261,7 +259,6 @@ def build_run_config(args) -> RunConfig:
         region_names=region_names,
         sweep_grid=_floats(grid_text),
         synth=synth_spec,
-        threads=max(1, args.threads),
         with_singletons=bool(getattr(args, "with_singletons", False)),
     )
 
@@ -290,14 +287,6 @@ def _load_one_db(spec: DbSpec, null_coords) -> GeoDatabase:
     loader = load_range_db if spec.kind == "range" else load_point_db
     with _require_file(spec.path, f"database {spec.name}").open(encoding="utf-8") as fh:
         return loader(fh, spec.name, null_coords)
-
-
-def _map_jobs(threads: int, fn: Callable, items: Sequence):
-    """Order-preserving map, optionally fanned out over worker threads."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
@@ -361,6 +350,13 @@ def _load_metric_popmap(cfg: RunConfig) -> PopMap:
     return load_popmap(_require_file(core_path, "PoP map"), with_singletons=False)
 
 
+def _votes(cfg: RunConfig, popmap: PopMap, dbs) -> dict[str, dict[str, PoPLocation]]:
+    """Each database's own votes by name, plus the cross-database vote as "all"."""
+    votes = {db.name: locate_popmap(popmap, [db], cfg.vote) for db in dbs}
+    votes["all"] = locate_popmap(popmap, dbs, cfg.vote)
+    return votes
+
+
 def cmd_locate(cfg: RunConfig) -> int:
     if not cfg.db_specs:
         raise InputError("no databases configured")
@@ -368,19 +364,8 @@ def cmd_locate(cfg: RunConfig) -> int:
     dbs = _load_databases(cfg)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
-    for db in dbs:
-        locs = _map_jobs(
-            cfg.threads,
-            lambda pop, db=db: locate_pop(pop, [db], cfg.vote, cfg.with_singletons),
-            popmap.pops,
-        )
-        save_locations(locs, cfg.out_dir / f"locations_{db.name}.json")
-    cross = _map_jobs(
-        cfg.threads,
-        lambda pop: locate_pop(pop, dbs, cfg.vote, cfg.with_singletons),
-        popmap.pops,
-    )
-    save_locations(cross, cfg.out_dir / "locations_all.json")
+    for name, locs in _votes(cfg, popmap, dbs).items():
+        save_locations(list(locs.values()), cfg.out_dir / f"locations_{name}.json")
     log.info("located %d PoPs against %d databases", len(popmap.pops), len(dbs))
     return 0
 
@@ -399,28 +384,27 @@ def _regions_for(cfg: RunConfig) -> list[ev.RegionSpec]:
     return regions
 
 
-def _per_db_reports(cfg: RunConfig, popmap: PopMap, dbs, suffix: str, out: Path) -> dict:
-    """Convergence, agreement and deviation outputs for one PoP map subset."""
+def _per_db_reports(cfg: RunConfig, popmap: PopMap, dbs, votes: dict, suffix: str, out: Path) -> dict:
+    """Convergence, agreement and deviation outputs for one PoP map subset.
+
+    votes come from _votes over a map that holds every PoP of popmap.
+    """
     counters: dict = {"convergence_tail": {}, "agreement_excluded": {}, "deviation_skipped": {}}
     if not popmap.pops:
         log.warning("PoP map%s is empty; emitting header-only reports", suffix or "")
 
-    def _one_db(db):
-        conv = ev.convergence_cdf(popmap, db, cfg.vote)
-        agreements = [
-            (radius, ev.agreement_cdf(popmap, db, radius, cfg.vote)) for radius in cfg.agreement_radii
-        ]
-        deviation = ev.deviation_samples(popmap, dbs, db, cfg.vote)
-        return db, conv, agreements, deviation
-
-    for db, conv, agreements, deviation in _map_jobs(cfg.threads, _one_db, dbs):
+    for db in dbs:
+        own = votes[db.name]
+        conv = ev.convergence_cdf(db.name, [own[pop.id] for pop in popmap.pops])
         _write_cdf_csv(out / f"convergence_{db.name}{suffix}.csv", "range_km,cum_fraction", conv)
         counters["convergence_tail"][db.name] = conv.tail_count
-        for radius, series in agreements:
+        for radius in cfg.agreement_radii:
+            series = ev.agreement_cdf(popmap, db, radius)
             _write_cdf_csv(
                 out / f"agreement_{db.name}_{radius:g}{suffix}.csv", "agreement,cum_fraction", series
             )
             counters["agreement_excluded"][f"{db.name}:{radius:g}"] = series.excluded_count
+        deviation = ev.deviation_samples(popmap, db, votes["all"], own)
         _write_cdf_csv(out / f"deviation_{db.name}{suffix}.csv", "deviation_km,cum_fraction", deviation.cdf())
         counters["deviation_skipped"][db.name] = deviation.skipped_pops
         scatter = [
@@ -443,8 +427,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     prefix_map = None
-    if cfg.ip2as is not None and cfg.ip2as.is_file():
-        with cfg.ip2as.open(encoding="utf-8") as fh:
+    if cfg.ip2as is not None:
+        with _require_file(cfg.ip2as, "ip2as file").open(encoding="utf-8") as fh:
             prefix_map = load_ip2as(fh)
 
     summary: dict = {"databases": [db.name for db in dbs]}
@@ -456,7 +440,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         log.warning("empty PoP maps; skipping null statistics")
         summary["null_stats"] = []
 
-    summary.update(_per_db_reports(cfg, popmap, dbs, "", out))
+    votes = _votes(cfg, popmap, dbs)
+    summary.update(_per_db_reports(cfg, popmap, dbs, votes, "", out))
 
     ips = popmap.member_ips()
     matrix = None
@@ -518,15 +503,10 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
     regions = _regions_for(cfg)
     if regions:
-        cross = _map_jobs(
-            cfg.threads,
-            lambda pop: locate_pop(pop, dbs, cfg.vote, cfg.with_singletons),
-            popmap.pops,
-        )
         summary["regions"] = {}
         for region in regions:
-            subset = ev.filter_by_region(popmap, cross, region)
-            counters = _per_db_reports(cfg, subset, dbs, f"__{region.name}", out)
+            subset = ev.filter_by_region(popmap, votes["all"].values(), region)
+            counters = _per_db_reports(cfg, subset, dbs, votes, f"__{region.name}", out)
             counters["pop_count"] = len(subset.pops)
             summary["regions"][region.name] = counters
 
@@ -627,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="INI config file")
         p.add_argument("--out", help="output directory (overrides [paths] out)")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+        p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
         p.add_argument("--with-singletons", action="store_true", help="use the singleton-extended PoP map")
         p.add_argument("--step-km", type=float, help="vote radius step in km")
         p.add_argument("--max-radius-km", type=float, help="vote radius cap in km")

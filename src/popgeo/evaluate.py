@@ -12,14 +12,14 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from statistics import StatisticsError, correlation
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .extract import PopMap
 from .geo import GeoCoord, coordinate_median, haversine_km
 from .geodb import GeoDatabase
 from .ingest import ParseError, PrefixMap
 from .iputil import ip_to_int
-from .locate import VoteConfig, locate_pop, locate_pop_single_db
+from .locate import PoPLocation
 
 
 @dataclass(frozen=True)
@@ -165,10 +165,6 @@ def load_regions(lines: Iterable[str]) -> dict[str, RegionSpec]:
     return {name: RegionSpec(name, tuple(bx)) for name, bx in boxes.items()}
 
 
-def _pop_members(pop, include_singletons: bool) -> list[str]:
-    return sorted(pop.members(include_singletons), key=ip_to_int)
-
-
 def null_stats(popmap_core: PopMap, popmap_all: PopMap, db: GeoDatabase) -> NullStats:
     """Null-reply percentages at IP and PoP level, without and with singletons."""
     if not popmap_core.pops or not popmap_all.pops:
@@ -177,7 +173,7 @@ def null_stats(popmap_core: PopMap, popmap_all: PopMap, db: GeoDatabase) -> Null
     def _pcts(popmap: PopMap) -> tuple[float, float]:
         total_ips = null_ips = null_pops = 0
         for pop in popmap.pops:
-            members = _pop_members(pop, include_singletons=True)
+            members = pop.members(include_singletons=True)
             nulls = sum(1 for ip in members if db.query(ip).coord is None)
             total_ips += len(members)
             null_ips += nulls
@@ -190,21 +186,21 @@ def null_stats(popmap_core: PopMap, popmap_all: PopMap, db: GeoDatabase) -> Null
     return NullStats(db.name, ip_core, pop_core, ip_all, pop_all)
 
 
-def convergence_cdf(popmap: PopMap, db: GeoDatabase, cfg: VoteConfig) -> CdfSeries:
+def convergence_cdf(db_name: str, locations: Iterable[PoPLocation]) -> CdfSeries:
     """CDF over PoPs of the single-database convergence range.
 
-    PoPs that never reach a majority, or whose members are all null, land in
-    the tail bucket beyond the radius cap.
+    locations are the database's own votes. PoPs that never reach a
+    majority, or whose members are all null, land in the tail bucket beyond
+    the radius cap.
     """
     ranges = []
     tail = 0
-    for pop in popmap.pops:
-        loc = locate_pop_single_db(pop, db, cfg, include_singletons=popmap.with_singletons)
+    for loc in locations:
         if loc.coord is None or not loc.majority_found:
             tail += 1
         else:
             ranges.append(loc.range_km)
-    return CdfSeries.from_values(f"convergence:{db.name}", ranges, tail_count=tail)
+    return CdfSeries.from_values(f"convergence:{db_name}", ranges, tail_count=tail)
 
 
 def pop_agreement(pop, db: GeoDatabase, radius_km: float, include_singletons: bool = False) -> Optional[float]:
@@ -215,7 +211,7 @@ def pop_agreement(pop, db: GeoDatabase, radius_km: float, include_singletons: bo
     """
     coords = [
         c
-        for c in (db.query(ip).coord for ip in _pop_members(pop, include_singletons))
+        for c in (db.query(ip).coord for ip in pop.members(include_singletons))
         if c is not None
     ]
     if not coords:
@@ -227,16 +223,12 @@ def pop_agreement(pop, db: GeoDatabase, radius_km: float, include_singletons: bo
     return best / len(coords)
 
 
-def agreement_cdf(
-    popmap: PopMap, db: GeoDatabase, radius_km: float, cfg: Optional[VoteConfig] = None
-) -> CdfSeries:
+def agreement_cdf(popmap: PopMap, db: GeoDatabase, radius_km: float) -> CdfSeries:
     """CDF over PoPs of within-database agreement at a fixed radius.
 
-    cfg is accepted for call-site symmetry with the other per-database
-    metrics but plays no role: agreement only depends on the radius. All-null
-    PoPs are excluded from the denominator and reported via excluded_count.
+    All-null PoPs are excluded from the denominator and reported via
+    excluded_count.
     """
-    del cfg
     values = []
     excluded = 0
     for pop in popmap.pops:
@@ -278,31 +270,31 @@ class DeviationReport:
 
 def deviation_samples(
     popmap: PopMap,
-    dbs: Sequence[GeoDatabase],
     db_under_test: GeoDatabase,
-    cfg: VoteConfig,
+    voted: Mapping[str, PoPLocation],
+    own: Mapping[str, PoPLocation],
 ) -> DeviationReport:
     """Distance of every answer of one database from the all-database vote.
 
-    PoPs whose cross-database location is null are skipped and counted.
+    voted holds the cross-database votes and own the votes of db_under_test
+    alone, both keyed by PoP id. PoPs whose cross-database location is null
+    are skipped and counted. Samples come in numeric address order per PoP.
     """
-    if db_under_test not in dbs:
-        raise ValueError(f"{db_under_test.name} not among the voting databases")
     samples = []
     skipped = 0
     for pop in popmap.pops:
-        voted = locate_pop(pop, dbs, cfg, include_singletons=popmap.with_singletons)
-        if voted.coord is None:
+        cross = voted[pop.id]
+        if cross.coord is None:
             skipped += 1
             continue
-        own = locate_pop_single_db(pop, db_under_test, cfg, popmap.with_singletons)
-        own_range = own.range_km if own.majority_found else None
-        for ip in _pop_members(pop, popmap.with_singletons):
+        own_loc = own[pop.id]
+        own_range = own_loc.range_km if own_loc.majority_found else None
+        for ip in sorted(pop.members(popmap.with_singletons), key=ip_to_int):
             rec = db_under_test.query(ip)
             if rec.coord is None:
                 continue
             samples.append(
-                DeviationSample(ip, haversine_km(rec.coord, voted.coord), own_range)
+                DeviationSample(ip, haversine_km(rec.coord, cross.coord), own_range)
             )
     return DeviationReport(db_under_test.name, tuple(samples), skipped)
 
@@ -377,7 +369,7 @@ def detect_default_location(
     """
     per_as: dict[int, Counter] = defaultdict(Counter)
     for pop in popmap.pops:
-        for ip in _pop_members(pop, popmap.with_singletons):
+        for ip in pop.members(popmap.with_singletons):
             coord = db.query(ip).coord
             if coord is None:
                 continue

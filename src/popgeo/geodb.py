@@ -77,10 +77,6 @@ class GeoDatabase:
         return [(int_to_ip(v), rec) for v, rec in sorted(self._points.items())]
 
 
-def query(db: GeoDatabase, ip: str) -> GeoRecord:
-    return db.query(ip)
-
-
 def _normalize_ranges(entries):
     """Resolve overlaps so later entries win, returning disjoint sorted ranges."""
     starts: list[int] = []

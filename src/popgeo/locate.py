@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .extract import PopMap
 from .geo import GeoCoord, coordinate_median, haversine_km
 from .geodb import GeoDatabase
 from .iputil import ip_to_int
@@ -187,11 +188,13 @@ def locate_pop(
     return locate_elements(pop.id, collect_elements(pop, dbs, include_singletons), cfg)
 
 
-def locate_pop_single_db(
-    pop, db: GeoDatabase, cfg: VoteConfig = VoteConfig(), include_singletons: bool = False
-) -> PoPLocation:
-    """locate_pop against a single database (per-database convergence view)."""
-    return locate_pop(pop, [db], cfg, include_singletons)
+def locate_popmap(
+    popmap: PopMap, dbs: Sequence[GeoDatabase], cfg: VoteConfig = VoteConfig()
+) -> dict[str, PoPLocation]:
+    """Locate every PoP of a map, keyed by PoP id in map order."""
+    return {
+        pop.id: locate_pop(pop, dbs, cfg, popmap.with_singletons) for pop in popmap.pops
+    }
 
 
 def locations_to_obj(locations: Sequence[PoPLocation]) -> list[dict]:

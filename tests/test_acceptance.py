@@ -18,7 +18,7 @@ from popgeo.geo import GeoCoord, coordinate_median, destination_point, haversine
 from popgeo.geodb import GeoDatabase, GeoRecord
 from popgeo.ingest import aggregate_edges, load_ip2as
 from popgeo.iputil import ip_to_int
-from popgeo.locate import IpElement, VoteConfig, locate_pop, majority_vote_range
+from popgeo.locate import IpElement, VoteConfig, locate_pop, locate_popmap, majority_vote_range
 from popgeo.synth import SynthDbSpec, SynthSpec, generate_scenario, ip2as_lines
 
 VOTE = VoteConfig()
@@ -194,15 +194,17 @@ def test_c05_null_accounting(scenario, extracted):
 def test_c06_monotone_agreement_and_cdfs(scenario, extracted):
     _, _, popmap = extracted
     dbs = list(scenario.dbs)
+    voted = locate_popmap(popmap, dbs, VOTE)
     for db in dbs:
         for pop in popmap.pops:
             a100 = ev.pop_agreement(pop, db, 100.0)
             a500 = ev.pop_agreement(pop, db, 500.0)
             if a100 is not None:
                 assert a500 >= a100, (db.name, pop.id)
-        series = [ev.convergence_cdf(popmap, db, VOTE)]
-        series += [ev.agreement_cdf(popmap, db, r, VOTE) for r in (100.0, 500.0)]
-        series.append(ev.deviation_samples(popmap, dbs, db, VOTE).cdf())
+        own = locate_popmap(popmap, [db], VOTE)
+        series = [ev.convergence_cdf(db.name, own.values())]
+        series += [ev.agreement_cdf(popmap, db, r) for r in (100.0, 500.0)]
+        series.append(ev.deviation_samples(popmap, db, voted, own).cdf())
         for s in series:
             s.validate()
             if s.points:
@@ -265,7 +267,9 @@ def test_c09_deviation_tail(scenario, extracted):
             mapping[ip_to_int(ip)] = GeoRecord(truth_of[ip])
     tested = GeoDatabase("tail15", "point", points=mapping)
     voters = [scenario.db("clean"), scenario.db("noisy5"), scenario.db("nul64"), tested]
-    report = ev.deviation_samples(popmap, voters, tested, VOTE)
+    report = ev.deviation_samples(
+        popmap, tested, locate_popmap(popmap, voters, VOTE), locate_popmap(popmap, [tested], VOTE)
+    )
     cdf = report.cdf()
     cdf.validate()
     tail = cdf.fraction_beyond(5000.0)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import popgeo.locate
 from popgeo.cli import main
 from popgeo.extract import load_popmap
 from popgeo.locate import load_locations
@@ -143,6 +144,29 @@ class TestDeterminism:
         assert first == second
 
 
+class TestVoteCount:
+    def test_one_vote_per_pop_and_database_set(self, workdir, monkeypatch):
+        tmp, cfg = workdir
+        run(cfg, "synth")
+        run(cfg, "extract")
+        pops = load_popmap(tmp / "popmap_core.json").pops
+        calls = []
+        real = popgeo.locate.locate_pop
+
+        def counting(pop, dbs, *args, **kwargs):
+            calls.append((pop.id, tuple(db.name for db in dbs)))
+            return real(pop, dbs, *args, **kwargs)
+
+        monkeypatch.setattr(popgeo.locate, "locate_pop", counting)
+        expected = len(pops) * (3 + 1)  # three databases plus the cross vote
+        assert run(cfg, "locate") == 0
+        assert len(calls) == expected
+        calls.clear()
+        assert run(cfg, "evaluate") == 0  # regions europe,usa are configured
+        assert len(calls) == expected
+        assert len(set(calls)) == expected
+
+
 class TestErrors:
     def test_missing_config(self, tmp_path):
         assert main(["extract", "--config", str(tmp_path / "nope.ini")]) == 1
@@ -156,6 +180,12 @@ class TestErrors:
         run(cfg, "synth")
         (tmp / "ip2as.csv").unlink()
         assert run(cfg, "extract") == 1
+
+    def test_evaluate_rejects_missing_configured_ip2as(self, workdir):
+        tmp, cfg = workdir
+        run(cfg, "synth")
+        run(cfg, "extract")
+        assert run(cfg, "evaluate", "--set", "paths.ip2as=nope.csv") == 1
 
     def test_descending_grid_rejected(self, workdir):
         tmp, cfg = workdir

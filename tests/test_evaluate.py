@@ -9,7 +9,7 @@ from popgeo.geo import GeoCoord, destination_point, haversine_km
 from popgeo.geodb import synth_db
 from popgeo.ingest import load_ip2as
 from popgeo.iputil import int_to_ip, ip_to_int
-from popgeo.locate import PoPLocation, VoteConfig
+from popgeo.locate import PoPLocation, VoteConfig, locate_popmap
 
 from conftest import make_pop, make_popmap, point_db
 
@@ -97,7 +97,9 @@ class TestConvergenceCdf:
         popmap = _grid_popmap()
         coords = {p.id: (10.0 + i, 10.0) for i, p in enumerate(popmap.pops)}
         db = _db_at("d", popmap, coords)
-        series = ev.convergence_cdf(popmap, db, VoteConfig(step_km=1.0, max_radius_km=500.0))
+        series = ev.convergence_cdf(
+            "d", locate_popmap(popmap, [db], VoteConfig(step_km=1.0, max_radius_km=500.0)).values()
+        )
         series.validate()
         assert series.points == ((1.0, 1.0),)
         assert series.tail_count == 0
@@ -107,7 +109,7 @@ class TestConvergenceCdf:
         coords = {p.id: (10.0, 10.0) for p in popmap.pops}
         nulls = {ip for p in popmap.pops[:2] for ip in p.members()}
         db = _db_at("d", popmap, coords, nulls=nulls)
-        series = ev.convergence_cdf(popmap, db, CFG)
+        series = ev.convergence_cdf("d", locate_popmap(popmap, [db], CFG).values())
         series.validate()
         assert series.points[-1][1] == 0.5
         assert series.tail_count == 2
@@ -123,7 +125,7 @@ class TestAgreementCdf:
         popmap = _grid_popmap()
         coords = {p.id: (20.0, 20.0) for p in popmap.pops}
         db = _db_at("d", popmap, coords)
-        series = ev.agreement_cdf(popmap, db, 100.0, CFG)
+        series = ev.agreement_cdf(popmap, db, 100.0)
         assert series.points == ((1.0, 1.0),)
 
     def test_split_three_two_at_100km(self):
@@ -141,7 +143,7 @@ class TestAgreementCdf:
                 "10.0.0.5": (b.lat, b.lon),
             },
         )
-        series = ev.agreement_cdf(popmap, db, 100.0, CFG)
+        series = ev.agreement_cdf(popmap, db, 100.0)
         assert series.points == ((0.6, 1.0),)
 
     def test_wider_radius_catches_split(self):
@@ -152,8 +154,8 @@ class TestAgreementCdf:
         mapping = {f"10.0.0.{h}": (a.lat, a.lon) for h in (1, 2, 3)}
         mapping.update({f"10.0.0.{h}": (b.lat, b.lon) for h in (4, 5)})
         db = point_db("d", mapping)
-        at_100 = ev.agreement_cdf(popmap, db, 100.0, CFG)
-        at_500 = ev.agreement_cdf(popmap, db, 500.0, CFG)
+        at_100 = ev.agreement_cdf(popmap, db, 100.0)
+        at_500 = ev.agreement_cdf(popmap, db, 500.0)
         assert at_100.points == ((0.6, 1.0),)
         assert at_500.points == ((1.0, 1.0),)
 
@@ -162,7 +164,7 @@ class TestAgreementCdf:
         coords = {p.id: (5.0, 5.0) for p in popmap.pops}
         nulls = set(popmap.pops[0].members())
         db = _db_at("d", popmap, coords, nulls=nulls)
-        series = ev.agreement_cdf(popmap, db, 100.0, CFG)
+        series = ev.agreement_cdf(popmap, db, 100.0)
         assert series.excluded_count == 1
         assert series.total == 2
 
@@ -184,12 +186,19 @@ class TestAgreementCdf:
             assert a500 >= a100
 
 
+def _deviation(popmap, dbs, db):
+    """deviation_samples of db against the vote of dbs, votes computed here."""
+    return ev.deviation_samples(
+        popmap, db, locate_popmap(popmap, dbs, CFG), locate_popmap(popmap, [db], CFG)
+    )
+
+
 class TestDeviation:
     def test_agreeing_database_has_zero_deviation(self):
         popmap = _grid_popmap()
         coords = {p.id: (30.0 + i, 40.0) for i, p in enumerate(popmap.pops)}
         dbs = [_db_at(n, popmap, coords) for n in ("a", "b", "c")]
-        report = ev.deviation_samples(popmap, dbs, dbs[0], CFG)
+        report = _deviation(popmap, dbs, dbs[0])
         assert report.skipped_pops == 0
         assert len(report.samples) == len(popmap.member_ips())
         assert all(s.deviation_km == 0.0 for s in report.samples)
@@ -201,7 +210,7 @@ class TestDeviation:
         honest = [_db_at(n, popmap, coords) for n in ("a", "b", "c", "d")]
         hq = destination_point(GeoCoord(30.0, 40.0), 0.5, 1500.0)
         pinned = point_db("pinned", {ip: (hq.lat, hq.lon) for ip in popmap.member_ips()})
-        report = ev.deviation_samples(popmap, honest + [pinned], pinned, CFG)
+        report = _deviation(popmap, honest + [pinned], pinned)
         # four honest databases outvote the pin, so every sample's deviation
         # is the exact HQ-to-truth distance of its PoP
         by_pop = {ip: pop.id for pop in popmap.pops for ip in pop.members()}
@@ -209,7 +218,7 @@ class TestDeviation:
             truth = GeoCoord(*coords[by_pop[s.ip]])
             assert s.deviation_km == pytest.approx(haversine_km(hq, truth), abs=1e-6)
             assert s.deviation_km > 500.0
-        honest_report = ev.deviation_samples(popmap, honest + [pinned], honest[0], CFG)
+        honest_report = _deviation(popmap, honest + [pinned], honest[0])
         assert all(s.deviation_km == 0.0 for s in honest_report.samples)
 
     def test_long_tail_fraction(self):
@@ -226,25 +235,17 @@ class TestDeviation:
             else:
                 mapping[ip] = coords[by_pop[ip]]
         tested = point_db("t", mapping)
-        report = ev.deviation_samples(popmap, honest + [tested], tested, CFG)
+        report = _deviation(popmap, honest + [tested], tested)
         cdf = report.cdf()
         cdf.validate()
         assert cdf.fraction_beyond(5000.0) == pytest.approx(0.15, abs=0.01)
-
-    def test_db_must_be_in_vote(self):
-        popmap = _grid_popmap()
-        coords = {p.id: (1.0, 1.0) for p in popmap.pops}
-        a = _db_at("a", popmap, coords)
-        b = _db_at("b", popmap, coords)
-        with pytest.raises(ValueError):
-            ev.deviation_samples(popmap, [a], b, CFG)
 
     def test_null_cross_location_skipped(self):
         popmap = _grid_popmap(pop_count=2)
         coords = {p.id: (1.0, 1.0) for p in popmap.pops}
         nulls = set(popmap.pops[0].members())
         db = _db_at("a", popmap, coords, nulls=nulls)
-        report = ev.deviation_samples(popmap, [db], db, CFG)
+        report = _deviation(popmap, [db], db)
         assert report.skipped_pops == 1
 
 

@@ -7,7 +7,6 @@ from popgeo.geodb import (
     load_null_coords,
     load_point_db,
     load_range_db,
-    query,
     synth_db,
 )
 from popgeo.ingest import ParseError
@@ -115,10 +114,6 @@ class TestPointDb:
     def test_non_finite_lon_rejected(self, lon):
         with pytest.raises(ParseError):
             load_point_db([f"10.0.0.1,10.0,{lon}"], "t")
-
-    def test_query_function_matches_method(self):
-        db = load_point_db(["2.2.2.2,1,1"], "t")
-        assert query(db, "2.2.2.2") == db.query("2.2.2.2")
 
 
 class TestNullCoords:

@@ -11,7 +11,7 @@ from popgeo.locate import (
     collect_elements,
     locate_elements,
     locate_pop,
-    locate_pop_single_db,
+    locate_popmap,
     load_locations,
     majority_vote_range,
     radius_grid,
@@ -19,7 +19,7 @@ from popgeo.locate import (
     save_locations,
 )
 
-from conftest import make_pop, point_db
+from conftest import make_pop, make_popmap, point_db
 
 LONDON = GeoCoord(51.5074, -0.1278)
 NEW_YORK = GeoCoord(40.7128, -74.006)
@@ -264,13 +264,13 @@ class TestLocatePop:
     def test_single_db_identical_placement(self):
         pop = make_pop("10.0.0.1", ["10.0.0.1", "10.0.0.2"])
         db = point_db("a", {"10.0.0.1": (5, 5), "10.0.0.2": (5, 5)})
-        loc = locate_pop_single_db(pop, db)
+        loc = locate_pop(pop, [db])
         assert loc.range_km == 1.11
 
     def test_single_db_all_null(self):
         pop = make_pop("10.0.0.1", ["10.0.0.1", "10.0.0.2"])
         db = point_db("a", {})
-        loc = locate_pop_single_db(pop, db)
+        loc = locate_pop(pop, [db])
         assert loc.coord is None
         assert not loc.majority_found
 
@@ -283,7 +283,7 @@ class TestLocatePop:
         east = (0.0, -177.302)
         db = point_db("a", {"10.0.0.1": west, "10.0.0.2": west, "10.0.0.3": east, "10.0.0.4": east})
         with pytest.warns(RuntimeWarning):
-            loc = locate_pop_single_db(pop, db, VoteConfig(step_km=1.0, max_radius_km=500.0))
+            loc = locate_pop(pop, [db], VoteConfig(step_km=1.0, max_radius_km=500.0))
         assert not loc.majority_found
         assert loc.range_km is None
         # the fallback still reports one of the two clusters
@@ -296,9 +296,39 @@ class TestLocatePop:
         south = (0.0, 0.0)
         north = (5.395929635512383, 0.0)
         db = point_db("a", {"10.0.0.1": south, "10.0.0.2": south, "10.0.0.3": north, "10.0.0.4": north})
-        loc = locate_pop_single_db(pop, db, VoteConfig(step_km=1.0, max_radius_km=500.0))
+        loc = locate_pop(pop, [db], VoteConfig(step_km=1.0, max_radius_km=500.0))
         assert loc.majority_found
         assert loc.range_km == pytest.approx(301.0, abs=1.5)
+
+
+
+class TestLocatePopmap:
+    def _pops_and_db(self):
+        # ids out of numeric order, so map order and sorted order differ
+        first = make_pop("10.0.1.1", ["10.0.1.1", "10.0.1.2"], singletons=["10.0.1.9"])
+        second = make_pop("10.0.0.1", ["10.0.0.1", "10.0.0.2"])
+        db = point_db(
+            "a",
+            {"10.0.1.1": (5, 5), "10.0.1.2": (5, 5), "10.0.1.9": None,
+             "10.0.0.1": (7, 7), "10.0.0.2": (7, 7)},
+        )
+        return first, second, db
+
+    def test_keyed_by_pop_id_in_map_order(self):
+        first, second, db = self._pops_and_db()
+        locs = locate_popmap(make_popmap(first, second), [db])
+        assert list(locs) == ["10.0.1.1", "10.0.0.1"]
+        assert locs["10.0.1.1"] == locate_pop(first, [db])
+        assert locs["10.0.0.1"] == locate_pop(second, [db])
+
+    def test_honours_with_singletons(self):
+        first, second, db = self._pops_and_db()
+        core = locate_popmap(make_popmap(first, second), [db])
+        full = locate_popmap(make_popmap(first, second, with_singletons=True), [db])
+        assert core["10.0.1.1"].frac_all == 1.0
+        # the null singleton answer joins the vote only with singletons
+        assert full["10.0.1.1"].frac_all == pytest.approx(2 / 3)
+        assert full["10.0.1.1"] == locate_pop(first, [db], include_singletons=True)
 
 
 coords_st = st.tuples(
