@@ -64,13 +64,15 @@ def destination_point(origin: GeoCoord, bearing_rad: float, distance_km: float) 
     delta = distance_km / EARTH_RADIUS_KM
     lat1 = math.radians(origin.lat)
     lon1 = math.radians(origin.lon)
-    sin_lat2 = math.sin(lat1) * math.cos(delta) + math.cos(lat1) * math.sin(delta) * math.cos(bearing_rad)
-    sin_lat2 = max(-1.0, min(1.0, sin_lat2))
-    lat2 = math.asin(sin_lat2)
-    lon2 = lon1 + math.atan2(
-        math.sin(bearing_rad) * math.sin(delta) * math.cos(lat1),
-        math.cos(delta) - math.sin(lat1) * sin_lat2,
-    )
+    # Destination as a unit vector in the origin meridian's frame: up (z),
+    # towards the pole axis (x) and east (y). Taking latitude with atan2
+    # rather than asin keeps short steps away from the poles from rounding
+    # to zero, where asin's slope is infinite.
+    z = math.sin(lat1) * math.cos(delta) + math.cos(lat1) * math.sin(delta) * math.cos(bearing_rad)
+    x = math.cos(lat1) * math.cos(delta) - math.sin(lat1) * math.sin(delta) * math.cos(bearing_rad)
+    y = math.sin(bearing_rad) * math.sin(delta)
+    lat2 = math.atan2(z, math.hypot(x, y))
+    lon2 = lon1 + math.atan2(y, x)
     return GeoCoord(math.degrees(lat2), math.degrees(lon2))
 
 
