@@ -357,6 +357,17 @@ def _votes(cfg: RunConfig, popmap: PopMap, dbs) -> dict[str, dict[str, PoPLocati
     return votes
 
 
+def _agreements(cfg: RunConfig, popmap: PopMap, dbs) -> dict[str, dict[str, Optional[tuple[float, ...]]]]:
+    """Each database's per-PoP agreement fractions, one per configured radius."""
+    return {
+        db.name: {
+            pop.id: ev.pop_agreement(pop, db, cfg.agreement_radii, popmap.with_singletons)
+            for pop in popmap.pops
+        }
+        for db in dbs
+    }
+
+
 def cmd_locate(cfg: RunConfig) -> int:
     if not cfg.db_specs:
         raise InputError("no databases configured")
@@ -384,10 +395,13 @@ def _regions_for(cfg: RunConfig) -> list[ev.RegionSpec]:
     return regions
 
 
-def _per_db_reports(cfg: RunConfig, popmap: PopMap, dbs, votes: dict, suffix: str, out: Path) -> dict:
+def _per_db_reports(
+    cfg: RunConfig, popmap: PopMap, dbs, votes: dict, agreements: dict, suffix: str, out: Path
+) -> dict:
     """Convergence, agreement and deviation outputs for one PoP map subset.
 
-    votes come from _votes over a map that holds every PoP of popmap.
+    votes come from _votes and agreements from _agreements, both over a map
+    that holds every PoP of popmap.
     """
     counters: dict = {"convergence_tail": {}, "agreement_excluded": {}, "deviation_skipped": {}}
     if not popmap.pops:
@@ -398,8 +412,9 @@ def _per_db_reports(cfg: RunConfig, popmap: PopMap, dbs, votes: dict, suffix: st
         conv = ev.convergence_cdf(db.name, [own[pop.id] for pop in popmap.pops])
         _write_cdf_csv(out / f"convergence_{db.name}{suffix}.csv", "range_km,cum_fraction", conv)
         counters["convergence_tail"][db.name] = conv.tail_count
-        for radius in cfg.agreement_radii:
-            series = ev.agreement_cdf(popmap, db, radius)
+        per_pop = [agreements[db.name][pop.id] for pop in popmap.pops]
+        for k, radius in enumerate(cfg.agreement_radii):
+            series = ev.agreement_cdf(db.name, radius, [None if a is None else a[k] for a in per_pop])
             _write_cdf_csv(
                 out / f"agreement_{db.name}_{radius:g}{suffix}.csv", "agreement,cum_fraction", series
             )
@@ -441,7 +456,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         summary["null_stats"] = []
 
     votes = _votes(cfg, popmap, dbs)
-    summary.update(_per_db_reports(cfg, popmap, dbs, votes, "", out))
+    agreements = _agreements(cfg, popmap, dbs)
+    summary.update(_per_db_reports(cfg, popmap, dbs, votes, agreements, "", out))
 
     ips = popmap.member_ips()
     matrix = None
@@ -506,7 +522,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         summary["regions"] = {}
         for region in regions:
             subset = ev.filter_by_region(popmap, votes["all"].values(), region)
-            counters = _per_db_reports(cfg, subset, dbs, votes, f"__{region.name}", out)
+            counters = _per_db_reports(cfg, subset, dbs, votes, agreements, f"__{region.name}", out)
             counters["pop_count"] = len(subset.pops)
             summary["regions"][region.name] = counters
 

@@ -122,6 +122,12 @@ class AnomalyReport:
     ip_count: int
 
 
+def _check_box(name: str, box: tuple[float, float, float, float]) -> None:
+    lat_min, lat_max, lon_min, lon_max = box
+    if lat_min > lat_max or lon_min > lon_max:
+        raise ValueError(f"region {name}: malformed box")
+
+
 @dataclass(frozen=True)
 class RegionSpec:
     """Named union of inclusive lat/lon bounding boxes."""
@@ -130,9 +136,8 @@ class RegionSpec:
     boxes: tuple[tuple[float, float, float, float], ...]
 
     def __post_init__(self):
-        for lat_min, lat_max, lon_min, lon_max in self.boxes:
-            if lat_min > lat_max or lon_min > lon_max:
-                raise ValueError(f"region {self.name}: malformed box")
+        for box in self.boxes:
+            _check_box(self.name, box)
 
     def contains(self, coord: GeoCoord) -> bool:
         return any(
@@ -159,7 +164,9 @@ def load_regions(lines: Iterable[str]) -> dict[str, RegionSpec]:
         try:
             if len(fields) != 5:
                 raise ValueError(f"expected 5 fields, got {len(fields)}")
-            boxes[fields[0]].append(tuple(float(v) for v in fields[1:]))
+            box = tuple(float(v) for v in fields[1:])
+            _check_box(fields[0], box)
+            boxes[fields[0]].append(box)
         except ValueError as exc:
             raise ParseError(f"regions line {lineno}: {exc}") from exc
     return {name: RegionSpec(name, tuple(bx)) for name, bx in boxes.items()}
@@ -203,10 +210,14 @@ def convergence_cdf(db_name: str, locations: Iterable[PoPLocation]) -> CdfSeries
     return CdfSeries.from_values(f"convergence:{db_name}", ranges, tail_count=tail)
 
 
-def pop_agreement(pop, db: GeoDatabase, radius_km: float, include_singletons: bool = False) -> Optional[float]:
-    """Largest fraction of one PoP's located answers inside any circle of radius_km.
+def pop_agreement(
+    pop, db: GeoDatabase, radii_km: Sequence[float], include_singletons: bool = False
+) -> Optional[tuple[float, ...]]:
+    """Largest fraction of one PoP's located answers inside any circle, per radius.
 
-    Candidate centers are every located answer plus their median. None when
+    Candidate centers are every located answer plus their median. Each
+    candidate's distances to the answers are computed once and read for
+    every radius. Returns one fraction per entry of radii_km, or None when
     the database is null on every member.
     """
     coords = [
@@ -216,29 +227,30 @@ def pop_agreement(pop, db: GeoDatabase, radius_km: float, include_singletons: bo
     ]
     if not coords:
         return None
-    candidates = coords + [coordinate_median(coords)]
-    best = max(
-        sum(1 for c in coords if haversine_km(c, cand) <= radius_km) for cand in candidates
-    )
-    return best / len(coords)
+    best = [0] * len(radii_km)
+    for cand in coords + [coordinate_median(coords)]:
+        distances = [haversine_km(c, cand) for c in coords]
+        for k, radius in enumerate(radii_km):
+            best[k] = max(best[k], sum(1 for d in distances if d <= radius))
+    return tuple(b / len(coords) for b in best)
 
 
-def agreement_cdf(popmap: PopMap, db: GeoDatabase, radius_km: float) -> CdfSeries:
+def agreement_cdf(db_name: str, radius_km: float, agreements: Iterable[Optional[float]]) -> CdfSeries:
     """CDF over PoPs of within-database agreement at a fixed radius.
 
-    All-null PoPs are excluded from the denominator and reported via
+    agreements holds one pop_agreement fraction at radius_km per PoP. All-null
+    PoPs (None) are excluded from the denominator and reported via
     excluded_count.
     """
     values = []
     excluded = 0
-    for pop in popmap.pops:
-        agreement = pop_agreement(pop, db, radius_km, popmap.with_singletons)
+    for agreement in agreements:
         if agreement is None:
             excluded += 1
         else:
             values.append(agreement)
     return CdfSeries.from_values(
-        f"agreement:{db.name}:{radius_km:g}km", values, excluded_count=excluded
+        f"agreement:{db_name}:{radius_km:g}km", values, excluded_count=excluded
     )
 
 
@@ -388,7 +400,9 @@ def detect_default_location(
         top_key, top_count = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
         share = top_count / total
         if share >= share_threshold:
-            coord = GeoCoord(top_key[0] * rounding_deg, top_key[1] * rounding_deg)
+            # a bucket next to a pole can round past it (129 * 0.7 = 90.3)
+            lat = min(90.0, max(-90.0, top_key[0] * rounding_deg))
+            coord = GeoCoord(lat, top_key[1] * rounding_deg)
             reports.append(AnomalyReport(db.name, asn, coord, share, total))
     return reports
 

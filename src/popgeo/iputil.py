@@ -2,10 +2,23 @@
 
 import ipaddress
 
+# Successful parses, keyed by the exact input string. A parse is a pure
+# function of its input, so every caller in the process can share them; the
+# table holds one entry per distinct valid address the process has seen.
+# Failed parses are never stored, so bad input raises on every call.
+_parsed: dict[str, int] = {}
+
 
 def ip_to_int(ip: str) -> int:
-    """Dotted-quad string to its 32-bit integer value; ValueError on bad input."""
-    return int(ipaddress.IPv4Address(ip))
+    """Dotted-quad string to its 32-bit integer value; ValueError on bad input.
+
+    ipaddress validates the first parse of each string; repeats are a dict
+    lookup.
+    """
+    value = _parsed.get(ip)
+    if value is None:
+        value = _parsed[ip] = int(ipaddress.IPv4Address(ip))
+    return value
 
 
 def int_to_ip(value: int) -> str:

@@ -196,14 +196,17 @@ def test_c06_monotone_agreement_and_cdfs(scenario, extracted):
     dbs = list(scenario.dbs)
     voted = locate_popmap(popmap, dbs, VOTE)
     for db in dbs:
-        for pop in popmap.pops:
-            a100 = ev.pop_agreement(pop, db, 100.0)
-            a500 = ev.pop_agreement(pop, db, 500.0)
-            if a100 is not None:
+        agreements = [ev.pop_agreement(pop, db, [100.0, 500.0]) for pop in popmap.pops]
+        for pop, agreement in zip(popmap.pops, agreements):
+            if agreement is not None:
+                a100, a500 = agreement
                 assert a500 >= a100, (db.name, pop.id)
         own = locate_popmap(popmap, [db], VOTE)
         series = [ev.convergence_cdf(db.name, own.values())]
-        series += [ev.agreement_cdf(popmap, db, r) for r in (100.0, 500.0)]
+        series += [
+            ev.agreement_cdf(db.name, r, [None if a is None else a[k] for a in agreements])
+            for k, r in enumerate((100.0, 500.0))
+        ]
         series.append(ev.deviation_samples(popmap, db, voted, own).cdf())
         for s in series:
             s.validate()

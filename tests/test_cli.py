@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import popgeo.evaluate
 import popgeo.locate
 from popgeo.cli import main
 from popgeo.extract import load_popmap
@@ -167,6 +168,29 @@ class TestVoteCount:
         assert len(set(calls)) == expected
 
 
+class TestAgreementCount:
+    def test_one_agreement_per_pop_and_database(self, workdir, monkeypatch):
+        tmp, cfg = workdir
+        run(cfg, "synth")
+        run(cfg, "extract")
+        pops = load_popmap(tmp / "popmap_core.json").pops
+        calls = []
+        real = popgeo.evaluate.pop_agreement
+
+        def counting(pop, db, *args, **kwargs):
+            calls.append((pop.id, db.name))
+            return real(pop, db, *args, **kwargs)
+
+        monkeypatch.setattr(popgeo.evaluate, "pop_agreement", counting)
+        # europe and usa hold none of the synthetic PoPs; world holds them all
+        radii = "evaluate.agreement_radii_km=100,500"
+        assert run(cfg, "evaluate", "--set", radii, "--set", "evaluate.regions=europe,usa,world") == 0
+        assert len(calls) == len(pops) * 3  # three databases
+        assert len(set(calls)) == len(calls)
+        summary = json.loads((tmp / "summary.json").read_text())
+        assert summary["regions"]["world"]["pop_count"] == len(pops)
+
+
 class TestErrors:
     def test_missing_config(self, tmp_path):
         assert main(["extract", "--config", str(tmp_path / "nope.ini")]) == 1
@@ -186,6 +210,13 @@ class TestErrors:
         run(cfg, "synth")
         run(cfg, "extract")
         assert run(cfg, "evaluate", "--set", "paths.ip2as=nope.csv") == 1
+
+    def test_inverted_region_box_is_input_error(self, workdir):
+        tmp, cfg = workdir
+        run(cfg, "synth")
+        run(cfg, "extract")
+        (tmp / "regions.csv").write_text("weird,50,40,0,10\n")
+        assert run(cfg, "evaluate", "--set", "paths.regions=regions.csv", "--set", "evaluate.regions=weird") == 1
 
     def test_descending_grid_rejected(self, workdir):
         tmp, cfg = workdir

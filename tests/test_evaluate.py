@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from popgeo import evaluate as ev
 from popgeo.extract import PoP, PopMap
-from popgeo.geo import GeoCoord, destination_point, haversine_km
+from popgeo.geo import GeoCoord, coordinate_median, destination_point, haversine_km
 from popgeo.geodb import synth_db
-from popgeo.ingest import load_ip2as
+from popgeo.ingest import ParseError, load_ip2as
 from popgeo.iputil import int_to_ip, ip_to_int
 from popgeo.locate import PoPLocation, VoteConfig, locate_popmap
 
@@ -120,12 +121,28 @@ class TestConvergenceCdf:
             bad.validate()
 
 
+def _agreement_cdf(popmap, db, radius_km):
+    """agreement_cdf of db at one radius, per-PoP agreement computed here."""
+    per_pop = [ev.pop_agreement(pop, db, [radius_km], popmap.with_singletons) for pop in popmap.pops]
+    return ev.agreement_cdf(db.name, radius_km, [None if a is None else a[0] for a in per_pop])
+
+
+def _brute_force_agreement(pop, db, radius_km):
+    """Reference: an independent all-pairs count at a single radius."""
+    coords = [c for c in (db.query(ip).coord for ip in pop.members()) if c is not None]
+    if not coords:
+        return None
+    candidates = coords + [coordinate_median(coords)]
+    best = max(sum(1 for c in coords if haversine_km(c, cand) <= radius_km) for cand in candidates)
+    return best / len(coords)
+
+
 class TestAgreementCdf:
     def test_identical_placements(self):
         popmap = _grid_popmap()
         coords = {p.id: (20.0, 20.0) for p in popmap.pops}
         db = _db_at("d", popmap, coords)
-        series = ev.agreement_cdf(popmap, db, 100.0)
+        series = _agreement_cdf(popmap, db, 100.0)
         assert series.points == ((1.0, 1.0),)
 
     def test_split_three_two_at_100km(self):
@@ -143,7 +160,7 @@ class TestAgreementCdf:
                 "10.0.0.5": (b.lat, b.lon),
             },
         )
-        series = ev.agreement_cdf(popmap, db, 100.0)
+        series = _agreement_cdf(popmap, db, 100.0)
         assert series.points == ((0.6, 1.0),)
 
     def test_wider_radius_catches_split(self):
@@ -154,8 +171,8 @@ class TestAgreementCdf:
         mapping = {f"10.0.0.{h}": (a.lat, a.lon) for h in (1, 2, 3)}
         mapping.update({f"10.0.0.{h}": (b.lat, b.lon) for h in (4, 5)})
         db = point_db("d", mapping)
-        at_100 = ev.agreement_cdf(popmap, db, 100.0)
-        at_500 = ev.agreement_cdf(popmap, db, 500.0)
+        at_100 = _agreement_cdf(popmap, db, 100.0)
+        at_500 = _agreement_cdf(popmap, db, 500.0)
         assert at_100.points == ((0.6, 1.0),)
         assert at_500.points == ((1.0, 1.0),)
 
@@ -164,7 +181,7 @@ class TestAgreementCdf:
         coords = {p.id: (5.0, 5.0) for p in popmap.pops}
         nulls = set(popmap.pops[0].members())
         db = _db_at("d", popmap, coords, nulls=nulls)
-        series = ev.agreement_cdf(popmap, db, 100.0)
+        series = _agreement_cdf(popmap, db, 100.0)
         assert series.excluded_count == 1
         assert series.total == 2
 
@@ -180,10 +197,37 @@ class TestAgreementCdf:
             else:
                 mapping[f"10.0.0.{h}"] = (rng.uniform(-60, 60), rng.uniform(-170, 170))
         db = point_db("d", mapping)
-        a100 = ev.pop_agreement(pop, db, 100.0)
-        a500 = ev.pop_agreement(pop, db, 500.0)
-        if a100 is not None:
+        agreement = ev.pop_agreement(pop, db, [100.0, 500.0])
+        if agreement is not None:
+            a100, a500 = agreement
             assert a500 >= a100
+
+    @given(
+        st.integers(0, 2**30),
+        st.lists(st.floats(0.0, 3000.0), min_size=1, max_size=4),
+    )
+    @settings(max_examples=50)
+    def test_multi_radius_matches_per_radius_brute_force(self, seed, radii):
+        rng = random.Random(seed)
+        centre = GeoCoord(rng.uniform(-89, 89), rng.uniform(-180, 180))
+        mapping = {}
+        for h in range(1, 11):
+            roll = rng.random()
+            if roll < 0.15:
+                mapping[f"10.0.0.{h}"] = None
+                continue
+            # about half the located answers lie at one of the radii from the centre
+            distance = rng.choice(radii) if roll < 0.6 else rng.uniform(0.0, 3000.0)
+            p = destination_point(centre, rng.uniform(0.0, 2 * math.pi), distance)
+            mapping[f"10.0.0.{h}"] = (p.lat, p.lon)
+        mapping["10.0.0.11"] = (centre.lat, centre.lon)
+        pop = make_pop("10.0.0.1", list(mapping))
+        db = point_db("d", mapping)
+        # radii that some answer reaches exactly, in the order agreement measures it
+        located = [GeoCoord(*v) for v in mapping.values() if v is not None]
+        radii = radii + [haversine_km(rng.choice(located), centre) for _ in range(2)]
+        expected = tuple(_brute_force_agreement(pop, db, r) for r in radii)
+        assert ev.pop_agreement(pop, db, radii) == expected
 
 
 def _deviation(popmap, dbs, db):
@@ -353,6 +397,14 @@ class TestAnomalies:
         flagged = ev.detect_default_location(db, popmap, None, min_ips=10)
         assert len(flagged) == 1 and flagged[0].ip_count == 10
 
+    @pytest.mark.parametrize("lat", [90.0, -90.0])
+    def test_pole_bucket_stays_on_the_sphere(self, lat):
+        # 0.7-degree buckets put a pole in bucket +-129, and 129 * 0.7 = 90.3
+        popmap = make_popmap(make_pop("10.0.0.1", [f"10.0.0.{h}" for h in range(1, 61)]))
+        db = point_db("d", {ip: (lat, 0.0) for ip in popmap.member_ips()})
+        reports = ev.detect_default_location(db, popmap, None, rounding_deg=0.7)
+        assert [(r.dominant_coord, r.share, r.ip_count) for r in reports] == [(GeoCoord(lat, 0.0), 1.0, 60)]
+
     def test_prefix_map_authority(self):
         popmap = make_popmap(
             make_pop("10.0.0.1", [f"10.0.0.{h}" for h in range(1, 31)], asn=1),
@@ -448,6 +500,11 @@ class TestRegions:
     def test_malformed_region_rejected(self):
         with pytest.raises(Exception):
             ev.load_regions(["bad,1,2"])
+
+    @pytest.mark.parametrize("row", ["weird,50,40,0,10", "weird,40,50,10,0"])
+    def test_inverted_box_is_parse_error(self, row):
+        with pytest.raises(ParseError, match="regions line 2: region weird: malformed box"):
+            ev.load_regions(["ok,1,2,3,4", row])
 
 
 class TestCdfSeries:
