@@ -413,8 +413,8 @@ def _per_db_reports(
         _write_cdf_csv(out / f"convergence_{db.name}{suffix}.csv", "range_km,cum_fraction", conv)
         counters["convergence_tail"][db.name] = conv.tail_count
         per_pop = [agreements[db.name][pop.id] for pop in popmap.pops]
-        for k, radius in enumerate(cfg.agreement_radii):
-            series = ev.agreement_cdf(db.name, radius, [None if a is None else a[k] for a in per_pop])
+        cdfs = ev.agreement_cdf(db.name, cfg.agreement_radii, per_pop)
+        for radius, series in zip(cfg.agreement_radii, cdfs):
             _write_cdf_csv(
                 out / f"agreement_{db.name}_{radius:g}{suffix}.csv", "agreement,cum_fraction", series
             )

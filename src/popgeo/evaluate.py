@@ -122,12 +122,6 @@ class AnomalyReport:
     ip_count: int
 
 
-def _check_box(name: str, box: tuple[float, float, float, float]) -> None:
-    lat_min, lat_max, lon_min, lon_max = box
-    if lat_min > lat_max or lon_min > lon_max:
-        raise ValueError(f"region {name}: malformed box")
-
-
 @dataclass(frozen=True)
 class RegionSpec:
     """Named union of inclusive lat/lon bounding boxes."""
@@ -136,8 +130,9 @@ class RegionSpec:
     boxes: tuple[tuple[float, float, float, float], ...]
 
     def __post_init__(self):
-        for box in self.boxes:
-            _check_box(self.name, box)
+        for lat_min, lat_max, lon_min, lon_max in self.boxes:
+            if lat_min > lat_max or lon_min > lon_max:
+                raise ValueError(f"region {self.name}: malformed box")
 
     def contains(self, coord: GeoCoord) -> bool:
         return any(
@@ -165,7 +160,7 @@ def load_regions(lines: Iterable[str]) -> dict[str, RegionSpec]:
             if len(fields) != 5:
                 raise ValueError(f"expected 5 fields, got {len(fields)}")
             box = tuple(float(v) for v in fields[1:])
-            _check_box(fields[0], box)
+            RegionSpec(fields[0], (box,))
             boxes[fields[0]].append(box)
         except ValueError as exc:
             raise ParseError(f"regions line {lineno}: {exc}") from exc
@@ -235,23 +230,28 @@ def pop_agreement(
     return tuple(b / len(coords) for b in best)
 
 
-def agreement_cdf(db_name: str, radius_km: float, agreements: Iterable[Optional[float]]) -> CdfSeries:
-    """CDF over PoPs of within-database agreement at a fixed radius.
+def agreement_cdf(
+    db_name: str, radii_km: Sequence[float], agreements: Iterable[Optional[tuple[float, ...]]]
+) -> list[CdfSeries]:
+    """CDFs over PoPs of within-database agreement, one per entry of radii_km.
 
-    agreements holds one pop_agreement fraction at radius_km per PoP. All-null
-    PoPs (None) are excluded from the denominator and reported via
+    agreements holds one pop_agreement result over radii_km per PoP. All-null
+    PoPs (None) are excluded from every denominator and reported via
     excluded_count.
     """
-    values = []
+    located = []
     excluded = 0
     for agreement in agreements:
         if agreement is None:
             excluded += 1
         else:
-            values.append(agreement)
-    return CdfSeries.from_values(
-        f"agreement:{db_name}:{radius_km:g}km", values, excluded_count=excluded
-    )
+            located.append(agreement)
+    return [
+        CdfSeries.from_values(
+            f"agreement:{db_name}:{radius_km:g}km", [a[k] for a in located], excluded_count=excluded
+        )
+        for k, radius_km in enumerate(radii_km)
+    ]
 
 
 @dataclass(frozen=True)

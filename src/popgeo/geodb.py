@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 
 from .geo import GeoCoord, destination_point
 from .ingest import ParseError
-from .iputil import int_to_ip, ip_to_int
+from .iputil import int_to_ip, ip_to_int, parse_ip
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,8 @@ def load_range_db(lines: Iterable[str], name: str, null_coords=None) -> GeoDatab
         try:
             if len(row) != 6:
                 raise ValueError(f"expected 6 fields, got {len(row)}")
-            start = ip_to_int(row[0])
-            end = ip_to_int(row[1])
+            start = parse_ip(row[0])
+            end = parse_ip(row[1])
             if start > end:
                 raise ValueError(f"range start {row[0]} above end {row[1]}")
             coord = _parse_coord_fields(row[4], row[5], null_coords)
@@ -150,7 +150,7 @@ def load_point_db(lines: Iterable[str], name: str, null_coords=None) -> GeoDatab
         try:
             if len(row) != 3:
                 raise ValueError(f"expected 3 fields, got {len(row)}")
-            points[ip_to_int(row[0])] = GeoRecord(_parse_coord_fields(row[1], row[2], null_coords))
+            points[parse_ip(row[0])] = GeoRecord(_parse_coord_fields(row[1], row[2], null_coords))
         except ValueError as exc:
             raise ParseError(f"{name}: line {lineno}: {exc}") from exc
     return GeoDatabase(name, "point", points=points)

@@ -2,22 +2,31 @@
 
 import ipaddress
 
-# Successful parses, keyed by the exact input string. A parse is a pure
-# function of its input, so every caller in the process can share them; the
-# table holds one entry per distinct valid address the process has seen.
+# Successful ip_to_int parses, keyed by the exact input string. A parse is a
+# pure function of its input, so every caller in the process can share them;
+# the table holds one entry per distinct valid address ip_to_int has seen.
 # Failed parses are never stored, so bad input raises on every call.
 _parsed: dict[str, int] = {}
 
 
-def ip_to_int(ip: str) -> int:
+def parse_ip(ip: str) -> int:
     """Dotted-quad string to its 32-bit integer value; ValueError on bad input.
+
+    Uncached: for strings read once, such as database rows, where a table
+    entry would never be read again.
+    """
+    return int(ipaddress.IPv4Address(ip))
+
+
+def ip_to_int(ip: str) -> int:
+    """parse_ip, memoized for addresses that recur (members, query keys).
 
     ipaddress validates the first parse of each string; repeats are a dict
     lookup.
     """
     value = _parsed.get(ip)
     if value is None:
-        value = _parsed[ip] = int(ipaddress.IPv4Address(ip))
+        value = _parsed[ip] = parse_ip(ip)
     return value
 
 

@@ -203,10 +203,7 @@ def test_c06_monotone_agreement_and_cdfs(scenario, extracted):
                 assert a500 >= a100, (db.name, pop.id)
         own = locate_popmap(popmap, [db], VOTE)
         series = [ev.convergence_cdf(db.name, own.values())]
-        series += [
-            ev.agreement_cdf(db.name, r, [None if a is None else a[k] for a in agreements])
-            for k, r in enumerate((100.0, 500.0))
-        ]
+        series += ev.agreement_cdf(db.name, (100.0, 500.0), agreements)
         series.append(ev.deviation_samples(popmap, db, voted, own).cdf())
         for s in series:
             s.validate()

@@ -124,7 +124,8 @@ class TestConvergenceCdf:
 def _agreement_cdf(popmap, db, radius_km):
     """agreement_cdf of db at one radius, per-PoP agreement computed here."""
     per_pop = [ev.pop_agreement(pop, db, [radius_km], popmap.with_singletons) for pop in popmap.pops]
-    return ev.agreement_cdf(db.name, radius_km, [None if a is None else a[0] for a in per_pop])
+    (series,) = ev.agreement_cdf(db.name, [radius_km], per_pop)
+    return series
 
 
 def _brute_force_agreement(pop, db, radius_km):

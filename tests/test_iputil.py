@@ -1,6 +1,8 @@
 import pytest
 
-from popgeo.iputil import int_to_ip, ip_to_int
+from popgeo import iputil
+from popgeo.geodb import load_point_db, load_range_db
+from popgeo.iputil import int_to_ip, ip_to_int, parse_ip
 
 
 @pytest.mark.parametrize(
@@ -17,10 +19,11 @@ from popgeo.iputil import int_to_ip, ip_to_int
         "1_0.2.3.4",
     ],
 )
-def test_malformed_address_rejected_on_every_call(text):
+@pytest.mark.parametrize("parse", [ip_to_int, parse_ip])
+def test_malformed_address_rejected_on_every_call(parse, text):
     for _ in range(2):
         with pytest.raises(ValueError):
-            ip_to_int(text)
+            parse(text)
 
 
 @pytest.mark.parametrize("text, value", [("0.0.0.0", 0), ("255.255.255.255", 2**32 - 1)])
@@ -32,3 +35,14 @@ def test_extremes_round_trip(text, value):
 
 def test_repeated_parse_returns_the_same_value():
     assert [ip_to_int("10.0.1.2") for _ in range(3)] == [(10 << 24) | (1 << 8) | 2] * 3
+
+
+def test_database_rows_are_not_memoized():
+    # each row address is read once, so a table entry would only cost memory
+    before = dict(iputil._parsed)
+    ranges = load_range_db(["203.0.113.0,203.0.113.255,ZZ,x,1.0,2.0"], "r")
+    points = load_point_db(["198.51.100.7,3.0,4.0"], "p")
+    assert iputil._parsed == before
+    assert parse_ip("203.0.113.0") == ip_to_int("203.0.113.0")
+    assert ranges.query("203.0.113.9").coord is not None
+    assert points.query("198.51.100.7").coord is not None
