@@ -18,7 +18,7 @@ import logging
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from . import evaluate as ev
 from .extract import (
@@ -29,7 +29,7 @@ from .extract import (
     save_popmap,
     threshold_sweep,
 )
-from .geodb import GeoDatabase, load_null_coords, load_point_db, load_range_db
+from .geodb import AnswerTable, answer_table, load_null_coords, load_point_db, load_range_db
 from .ingest import ParseError, aggregate_edges, load_ip2as, parse_observations
 from .locate import PoPLocation, VoteConfig, locate_popmap, save_locations
 from .synth import SynthDbSpec, SynthSpec, generate_scenario, write_scenario
@@ -278,15 +278,25 @@ def _null_coords(cfg: RunConfig):
         return load_null_coords(fh)
 
 
-def _load_databases(cfg: RunConfig) -> list[GeoDatabase]:
+def _table_loader(cfg: RunConfig, popmap: PopMap) -> Callable[[DbSpec], AnswerTable]:
+    """A function from a database spec to its answer table over popmap.
+
+    Each (kind, path) file is loaded and queried once, whichever spec names
+    it first; every later spec on the file gets those rows under its own
+    name. The null-coords file is read once, here.
+    """
     null_coords = _null_coords(cfg)
-    return [_load_one_db(spec, null_coords) for spec in cfg.db_specs]
+    rows_by_file: dict[tuple[str, Path], Mapping] = {}
 
+    def table(spec: DbSpec) -> AnswerTable:
+        key = (spec.kind, spec.path)
+        if key not in rows_by_file:
+            loader = load_range_db if spec.kind == "range" else load_point_db
+            with _require_file(spec.path, f"database {spec.name}").open(encoding="utf-8") as fh:
+                rows_by_file[key] = answer_table(loader(fh, spec.name, null_coords), popmap).rows
+        return AnswerTable(spec.name, rows_by_file[key])
 
-def _load_one_db(spec: DbSpec, null_coords) -> GeoDatabase:
-    loader = load_range_db if spec.kind == "range" else load_point_db
-    with _require_file(spec.path, f"database {spec.name}").open(encoding="utf-8") as fh:
-        return loader(fh, spec.name, null_coords)
+    return table
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
@@ -372,7 +382,8 @@ def cmd_locate(cfg: RunConfig) -> int:
     if not cfg.db_specs:
         raise InputError("no databases configured")
     popmap = _load_metric_popmap(cfg)
-    dbs = _load_databases(cfg)
+    table = _table_loader(cfg, popmap)
+    dbs = [table(spec) for spec in cfg.db_specs]
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
     for name, locs in _votes(cfg, popmap, dbs).items():
@@ -433,18 +444,26 @@ def _per_db_reports(
 def cmd_evaluate(cfg: RunConfig) -> int:
     if not cfg.db_specs:
         raise InputError("no databases configured")
+    # read and check every input before the first write, so a bad one leaves no partial bundle
     core_path, full_path = _popmap_paths(cfg)
     popmap_core = load_popmap(_require_file(core_path, "core PoP map"), with_singletons=False)
     popmap_all = load_popmap(_require_file(full_path, "singleton PoP map"), with_singletons=True)
+    # the answer tables are built over the singleton map and serve the core map too
+    if [(p.id, p.core_members, p.singleton_members) for p in popmap_core.pops] != [
+        (p.id, p.core_members, frozenset()) for p in popmap_all.pops
+    ]:
+        raise InputError(f"{core_path.name} is not {full_path.name} without its singleton members")
     popmap = popmap_all if cfg.with_singletons else popmap_core
-    dbs = _load_databases(cfg)
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-
+    table = _table_loader(cfg, popmap_all)
+    dbs = [table(spec) for spec in cfg.db_specs]
+    churn_pairs = [(label, table(old), table(new)) for label, old, new in cfg.churn_pairs]
     prefix_map = None
     if cfg.ip2as is not None:
         with _require_file(cfg.ip2as, "ip2as file").open(encoding="utf-8") as fh:
             prefix_map = load_ip2as(fh)
+    regions = _regions_for(cfg)
+    out = cfg.out_dir
+    out.mkdir(parents=True, exist_ok=True)
 
     summary: dict = {"databases": [db.name for db in dbs]}
 
@@ -459,10 +478,9 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     agreements = _agreements(cfg, popmap, dbs)
     summary.update(_per_db_reports(cfg, popmap, dbs, votes, agreements, "", out))
 
-    ips = popmap.member_ips()
     matrix = None
-    if len(dbs) >= 2 and ips:
-        matrix = ev.correlation_matrix(dbs, ips, include_nulls=cfg.correlation_include_nulls)
+    if len(dbs) >= 2 and popmap.pops:
+        matrix = ev.correlation_matrix(dbs, popmap, include_nulls=cfg.correlation_include_nulls)
         lines = ["db," + ",".join(matrix.db_names)]
         for name, row in zip(matrix.db_names, matrix.values):
             cells = ["" if v is None else repr(v) for v in row]
@@ -505,11 +523,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     ]
 
     churn_rows = []
-    null_coords = _null_coords(cfg) if cfg.churn_pairs else None
-    for label, old_spec, new_spec in cfg.churn_pairs:
-        old_db = _load_one_db(old_spec, null_coords)
-        new_db = _load_one_db(new_spec, null_coords)
-        fraction = ev.churn(old_db, new_db, ips, cfg.churn_epsilon_km) if ips else 0.0
+    for label, old_db, new_db in churn_pairs:
+        fraction = ev.churn(old_db, new_db, popmap, cfg.churn_epsilon_km) if popmap.pops else 0.0
         churn_rows.append((label, fraction))
     _write_lines(
         out / "churn.csv",
@@ -517,7 +532,6 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     )
     summary["churn"] = {label: frac for label, frac in churn_rows}
 
-    regions = _regions_for(cfg)
     if regions:
         summary["regions"] = {}
         for region in regions:

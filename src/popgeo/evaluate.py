@@ -4,7 +4,9 @@ Covers null-reply accounting, per-database convergence and agreement CDFs,
 per-IP deviation from the cross-database majority location, pairwise database
 correlation, default-location (headquarters) anomaly detection, snapshot
 churn, and regional breakdowns. Everything here is deterministic and pure
-over its inputs.
+over its inputs. Every metric reads a database's answers through
+`answers(pop, include_singletons)`, from a GeoDatabase or from its
+AnswerTable, and none queries the database itself.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from statistics import StatisticsError, correlation
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .extract import PopMap
-from .geo import GeoCoord, coordinate_median, haversine_km
-from .geodb import GeoDatabase
+from .geo import DistinctPoints, GeoCoord, coordinate_median, distances_km, haversine_km
+from .geodb import AnswerSource
 from .ingest import ParseError, PrefixMap
-from .iputil import ip_to_int
 from .locate import PoPLocation
 
 
@@ -167,7 +168,7 @@ def load_regions(lines: Iterable[str]) -> dict[str, RegionSpec]:
     return {name: RegionSpec(name, tuple(bx)) for name, bx in boxes.items()}
 
 
-def null_stats(popmap_core: PopMap, popmap_all: PopMap, db: GeoDatabase) -> NullStats:
+def null_stats(popmap_core: PopMap, popmap_all: PopMap, db: AnswerSource) -> NullStats:
     """Null-reply percentages at IP and PoP level, without and with singletons."""
     if not popmap_core.pops or not popmap_all.pops:
         raise ValueError("null_stats needs non-empty PoP maps")
@@ -175,11 +176,11 @@ def null_stats(popmap_core: PopMap, popmap_all: PopMap, db: GeoDatabase) -> Null
     def _pcts(popmap: PopMap) -> tuple[float, float]:
         total_ips = null_ips = null_pops = 0
         for pop in popmap.pops:
-            members = pop.members(include_singletons=True)
-            nulls = sum(1 for ip in members if db.query(ip).coord is None)
-            total_ips += len(members)
+            answers = db.answers(pop)
+            nulls = sum(1 for _, coord in answers if coord is None)
+            total_ips += len(answers)
             null_ips += nulls
-            if nulls == len(members):
+            if nulls == len(answers):
                 null_pops += 1
         return 100.0 * null_ips / total_ips, 100.0 * null_pops / len(popmap.pops)
 
@@ -206,28 +207,24 @@ def convergence_cdf(db_name: str, locations: Iterable[PoPLocation]) -> CdfSeries
 
 
 def pop_agreement(
-    pop, db: GeoDatabase, radii_km: Sequence[float], include_singletons: bool = False
+    pop, db: AnswerSource, radii_km: Sequence[float], include_singletons: bool = False
 ) -> Optional[tuple[float, ...]]:
     """Largest fraction of one PoP's located answers inside any circle, per radius.
 
-    Candidate centers are every located answer plus their median. Each
-    candidate's distances to the answers are computed once and read for
-    every radius. Returns one fraction per entry of radii_km, or None when
+    Candidate centers are every distinct located answer plus the median of
+    all of them. Identical answers are tested once and counted by
+    multiplicity. Returns one fraction per entry of radii_km, or None when
     the database is null on every member.
     """
-    coords = [
-        c
-        for c in (db.query(ip).coord for ip in pop.members(include_singletons))
-        if c is not None
-    ]
+    coords = [c for _, c in db.answers(pop, include_singletons) if c is not None]
     if not coords:
         return None
-    best = [0] * len(radii_km)
-    for cand in coords + [coordinate_median(coords)]:
-        distances = [haversine_km(c, cand) for c in coords]
-        for k, radius in enumerate(radii_km):
-            best[k] = max(best[k], sum(1 for d in distances if d <= radius))
-    return tuple(b / len(coords) for b in best)
+    answers = DistinctPoints(coords)
+    candidates = answers.points + [coordinate_median(coords)]
+    return tuple(
+        max(answers.count_within_km(cand, radius) for cand in candidates) / len(coords)
+        for radius in radii_km
+    )
 
 
 def agreement_cdf(
@@ -282,7 +279,7 @@ class DeviationReport:
 
 def deviation_samples(
     popmap: PopMap,
-    db_under_test: GeoDatabase,
+    db_under_test: AnswerSource,
     voted: Mapping[str, PoPLocation],
     own: Mapping[str, PoPLocation],
 ) -> DeviationReport:
@@ -301,13 +298,9 @@ def deviation_samples(
             continue
         own_loc = own[pop.id]
         own_range = own_loc.range_km if own_loc.majority_found else None
-        for ip in sorted(pop.members(popmap.with_singletons), key=ip_to_int):
-            rec = db_under_test.query(ip)
-            if rec.coord is None:
-                continue
-            samples.append(
-                DeviationSample(ip, haversine_km(rec.coord, cross.coord), own_range)
-            )
+        located = [a for a in db_under_test.answers(pop, popmap.with_singletons) if a[1] is not None]
+        distances = distances_km([coord for _, coord in located], cross.coord)
+        samples += [DeviationSample(ip, d, own_range) for (ip, _), d in zip(located, distances)]
     return DeviationReport(db_under_test.name, tuple(samples), skipped)
 
 
@@ -321,9 +314,9 @@ def _pearson(xs: list[float], ys: list[float]) -> Optional[float]:
 
 
 def correlation_matrix(
-    dbs: Sequence[GeoDatabase], ips: Sequence[str], include_nulls: bool = False
+    dbs: Sequence[AnswerSource], popmap: PopMap, include_nulls: bool = False
 ) -> CorrelationMatrix:
-    """Pairwise Pearson correlation of database answers over one IP universe.
+    """Pairwise Pearson correlation of database answers over a map's members.
 
     Each database's value vector is its latitude sequence concatenated with
     its longitude sequence. By default a pair is compared only on IPs both
@@ -333,7 +326,10 @@ def correlation_matrix(
     """
     if len(dbs) < 2:
         raise ValueError("correlation needs at least two databases")
-    answers = [[db.query(ip).coord for ip in ips] for db in dbs]
+    answers = [
+        [coord for pop in popmap.pops for _, coord in db.answers(pop, popmap.with_singletons)]
+        for db in dbs
+    ]
 
     def _vectors(i: int, j: int) -> tuple[list[float], list[float]]:
         lat_i, lon_i, lat_j, lon_j = [], [], [], []
@@ -365,7 +361,7 @@ def correlation_matrix(
 
 
 def detect_default_location(
-    db: GeoDatabase,
+    db: AnswerSource,
     popmap: PopMap,
     prefix_map: Optional[PrefixMap] = None,
     min_ips: int = 50,
@@ -381,8 +377,7 @@ def detect_default_location(
     """
     per_as: dict[int, Counter] = defaultdict(Counter)
     for pop in popmap.pops:
-        for ip in pop.members(popmap.with_singletons):
-            coord = db.query(ip).coord
+        for ip, coord in db.answers(pop, popmap.with_singletons):
             if coord is None:
                 continue
             asn = prefix_map.lookup(ip) if prefix_map is not None else None
@@ -408,24 +403,26 @@ def detect_default_location(
 
 
 def churn(
-    db_old: GeoDatabase, db_new: GeoDatabase, ips: Sequence[str], epsilon_km: float = 1.0
+    db_old: AnswerSource, db_new: AnswerSource, popmap: PopMap, epsilon_km: float = 1.0
 ) -> float:
-    """Fraction of addresses whose answer changed between two snapshots.
+    """Fraction of a map's member addresses whose answer changed between two snapshots.
 
     Any null/non-null flip counts as a change; two located answers count when
     they moved more than epsilon_km apart.
     """
-    if not ips:
-        raise ValueError("churn over an empty address list")
-    changed = 0
-    for ip in ips:
-        a = db_old.query(ip).coord
-        b = db_new.query(ip).coord
-        if (a is None) != (b is None):
-            changed += 1
-        elif a is not None and haversine_km(a, b) > epsilon_km:
-            changed += 1
-    return changed / len(ips)
+    if not popmap.pops:
+        raise ValueError("churn over an empty PoP map")
+    changed = total = 0
+    for pop in popmap.pops:
+        old = db_old.answers(pop, popmap.with_singletons)
+        new = db_new.answers(pop, popmap.with_singletons)
+        total += len(old)
+        for (_, a), (_, b) in zip(old, new):
+            if (a is None) != (b is None):
+                changed += 1
+            elif a is not None and haversine_km(a, b) > epsilon_km:
+                changed += 1
+    return changed / total
 
 
 def filter_by_region(popmap: PopMap, locations, region: RegionSpec) -> PopMap:

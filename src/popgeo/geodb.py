@@ -5,6 +5,11 @@ lat,lon`) and per-IP point databases (`ip,lat,lon`). A miss or a record
 without usable coordinates is a null reply, which is a value here, not an
 error: "country known, coordinates unknown" stays representable.
 
+Readers take a PoP's answers through `answers(pop, include_singletons)`:
+its members in numeric address order, each with a coordinate or None. A
+GeoDatabase queries for them; an AnswerTable holds them, built with one
+query per (database, address), and answers the same way without querying.
+
 synth_db builds a point database from a planted PoP map, with controllable
 positional noise, null probability and a headquarters-style pin of a fraction
 of one AS to a single coordinate. It is the test oracle that makes the
@@ -18,7 +23,7 @@ import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional, Union
 
 from .geo import GeoCoord, destination_point
 from .ingest import ParseError
@@ -37,6 +42,9 @@ class GeoRecord:
 
 
 NULL_RECORD = GeoRecord()
+
+# one member address with a database's coordinate for it, None on a null reply
+Answer = tuple[str, Optional[GeoCoord]]
 
 
 class GeoDatabase:
@@ -70,11 +78,52 @@ class GeoDatabase:
             return self._records[i]
         return NULL_RECORD
 
+    def answers(self, pop, include_singletons: bool = True) -> tuple[Answer, ...]:
+        """pop.members(include_singletons) in numeric address order, each with its coordinate or None."""
+        members = sorted(pop.members(include_singletons), key=ip_to_int)
+        return tuple((ip, self.query(ip).coord) for ip in members)
+
     def point_entries(self) -> list[tuple[str, GeoRecord]]:
         """Point-kind entries sorted by address, for serialization."""
         if self.kind != "point":
             raise ValueError("point_entries on a range database")
         return [(int_to_ip(v), rec) for v, rec in sorted(self._points.items())]
+
+
+class AnswerTable:
+    """One database's answers for every member of a PoP map, queried once.
+
+    rows maps each PoP id to its core answers and to all its answers, both
+    as GeoDatabase.answers returns them. Built over the singleton map, the
+    table serves readers of either map: a PoP without singleton members, or
+    a reader leaving them out, gets the core answers. Two names on one
+    database file share one rows mapping.
+    """
+
+    __slots__ = ("name", "rows")
+
+    def __init__(self, name: str, rows: Mapping[str, tuple[tuple[Answer, ...], tuple[Answer, ...]]]):
+        self.name = name
+        self.rows = rows
+
+    def answers(self, pop, include_singletons: bool = True) -> tuple[Answer, ...]:
+        """GeoDatabase.answers for pop, read from the table."""
+        core, full = self.rows[pop.id]
+        return full if include_singletons and pop.singleton_members else core
+
+
+def answer_table(db: GeoDatabase, popmap) -> AnswerTable:
+    """db's answers for every member of popmap, one query per address."""
+    rows = {}
+    for pop in popmap.pops:
+        full = db.answers(pop)
+        core = tuple(a for a in full if a[0] in pop.core_members) if pop.singleton_members else full
+        rows[pop.id] = (core, full)
+    return AnswerTable(db.name, rows)
+
+
+# what every reader of answers accepts
+AnswerSource = Union[GeoDatabase, AnswerTable]
 
 
 def _normalize_ranges(entries):

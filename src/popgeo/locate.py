@@ -1,6 +1,7 @@
 """PoP localization by expanding-radius majority vote.
 
-Every (member IP, database) pair contributes one answer element. The vote
+Every (member IP, database) pair contributes one answer element, read from
+the database or from its answer table. The vote
 starts at the component-wise median of the located elements and grows a
 circle in fixed kilometer steps until it holds the configured majority of
 located elements; the location is then re-centered on the median of the
@@ -19,9 +20,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .extract import PopMap
-from .geo import GeoCoord, coordinate_median, haversine_km
-from .geodb import GeoDatabase
-from .iputil import ip_to_int
+from .geo import DistinctPoints, GeoCoord, coordinate_median, distances_km
+from .geodb import AnswerSource
 
 # tolerance when laying out the radius grid; keeps float division from
 # dropping the final step (555/1.11 lands just below 500)
@@ -74,32 +74,68 @@ class PoPLocation:
     majority_found: bool
 
 
-def radius_grid(cfg: VoteConfig) -> list[float]:
+# radius_grid's result per configuration, so the votes of a map share one grid
+_GRIDS: dict[VoteConfig, tuple[float, ...]] = {}
+
+
+def radius_grid(cfg: VoteConfig) -> tuple[float, ...]:
     """The vote's radius schedule: step, 2*step, ... up to max_radius_km.
 
     Multiples are taken while k*step <= max_radius_km + 1e-9; if the last
     multiple still falls short of the cap by more than 1e-9 km, the cap
-    itself is appended as the final radius.
+    itself is appended as the final radius. Built once per configuration.
     """
-    n = int((cfg.max_radius_km + _GRID_EPS_KM) / cfg.step_km)
-    grid = [k * cfg.step_km for k in range(1, n + 1)]
-    if not grid or grid[-1] < cfg.max_radius_km - _GRID_EPS_KM:
-        grid.append(cfg.max_radius_km)
+    grid = _GRIDS.get(cfg)
+    if grid is None:
+        n = int((cfg.max_radius_km + _GRID_EPS_KM) / cfg.step_km)
+        steps = [k * cfg.step_km for k in range(1, n + 1)]
+        if not steps or steps[-1] < cfg.max_radius_km - _GRID_EPS_KM:
+            steps.append(cfg.max_radius_km)
+        grid = _GRIDS[cfg] = tuple(steps)
     return grid
 
 
 def collect_elements(
-    pop, dbs: Sequence[GeoDatabase], include_singletons: bool = False
+    pop, dbs: Sequence[AnswerSource], include_singletons: bool = False
 ) -> list[IpElement]:
-    """The full answer grid: one element per (member IP, database) pair."""
-    members = sorted(pop.members(include_singletons), key=ip_to_int)
+    """The full answer grid: one element per (member IP, database) pair, in address order."""
+    rows = [db.answers(pop, include_singletons) for db in dbs]
     return [
-        IpElement(ip, db.name, db.query(ip).coord) for ip in members for db in dbs
+        IpElement(ip, db.name, coord)
+        for by_db in zip(*rows)
+        for db, (ip, coord) in zip(dbs, by_db)
     ]
 
 
-def _located(elements: Sequence[IpElement]) -> list[IpElement]:
-    return [e for e in elements if e.coord is not None]
+def _located(elements: Sequence[IpElement]) -> list[GeoCoord]:
+    return [e.coord for e in elements if e.coord is not None]
+
+
+def _majority_range(
+    answers: DistinctPoints, distances: Sequence[float], cfg: VoteConfig
+) -> tuple[float, bool]:
+    # the winning radius is the first grid entry covering the need-th nearest
+    # answer; scanning and counting per radius gives the same result
+    need = math.ceil(cfg.majority_fraction * len(answers.index))
+    seen = 0
+    for critical, count in sorted(zip(distances, answers.counts)):
+        seen += count
+        if seen >= need:
+            break
+    grid = radius_grid(cfg)
+    i = bisect_left(grid, critical)
+    if i == len(grid):
+        return cfg.max_radius_km, False
+    return grid[i], True
+
+
+def _in_range_median(
+    coords: Sequence[GeoCoord], answers: DistinctPoints, distances: Sequence[float], range_km: float
+) -> GeoCoord:
+    in_range = [c for c, i in zip(coords, answers.index) if distances[i] <= range_km]
+    if not in_range:
+        raise ValueError("no located element within range")
+    return coordinate_median(in_range)
 
 
 def majority_vote_range(
@@ -110,77 +146,65 @@ def majority_vote_range(
     Returns (radius, True) on success, (max_radius_km, False) when even the
     final radius holds fewer than majority_fraction of the located elements.
     """
-    located = _located(elements)
-    if not located:
+    coords = _located(elements)
+    if not coords:
         raise ValueError("majority vote needs at least one located element")
-    dists = sorted(haversine_km(e.coord, center) for e in located)
-    need = math.ceil(cfg.majority_fraction * len(located))
-    # the winning radius is the first grid entry covering the need-th
-    # nearest element; scanning and counting per radius gives the same result
-    critical = dists[need - 1]
-    grid = radius_grid(cfg)
-    i = bisect_left(grid, critical)
-    if i == len(grid):
-        return cfg.max_radius_km, False
-    return grid[i], True
+    answers = DistinctPoints(coords)
+    return _majority_range(answers, distances_km(answers.points, center), cfg)
 
 
 def refine_location(
     elements: Sequence[IpElement], center: GeoCoord, range_km: float
 ) -> GeoCoord:
     """Median of the located elements within range_km of center."""
-    in_range = [
-        e.coord for e in _located(elements) if haversine_km(e.coord, center) <= range_km
-    ]
-    if not in_range:
-        raise ValueError("no located element within range")
-    return coordinate_median(in_range)
+    coords = _located(elements)
+    answers = DistinctPoints(coords)
+    return _in_range_median(coords, answers, distances_km(answers.points, center), range_km)
 
 
 def locate_elements(pop_id: str, elements: Sequence[IpElement], cfg: VoteConfig) -> PoPLocation:
-    """Run the full vote over an already collected element grid."""
+    """Run the full vote over an already collected element grid.
+
+    Identical answers are tested once and counted by multiplicity; medians
+    still take every located answer.
+    """
     total = len(elements)
-    located = _located(elements)
-    if not located:
+    coords = _located(elements)
+    if not coords:
         return PoPLocation(pop_id, None, None, 0.0, 0.0, False)
+    located = len(coords)
+    answers = DistinctPoints(coords)
 
-    center = coordinate_median([e.coord for e in located])
-    found_range, found = majority_vote_range(elements, center, cfg)
+    center = coordinate_median(coords)
+    distances = distances_km(answers.points, center)
+    found_range, found = _majority_range(answers, distances, cfg)
     if found:
-        coord = refine_location(elements, center, found_range)
-        within = sum(1 for e in located if haversine_km(e.coord, coord) <= found_range)
-        return PoPLocation(
-            pop_id, coord, found_range, within / total, within / len(located), True
-        )
+        coord = _in_range_median(coords, answers, distances, found_range)
+        to_coord = distances_km(answers.points, coord)
+        within = sum(n for n, d in zip(answers.counts, to_coord) if d <= found_range)
+        return PoPLocation(pop_id, coord, found_range, within / total, within / located, True)
 
-    # No majority anywhere: fall back to the largest group of votes. Every
-    # located answer and the median are candidate centers; the one covering
-    # the most located elements within the radius cap wins, ties broken by
-    # (lat, lon) then lowest contributing address (median candidate first).
-    candidates = [(e.coord, ip_to_int(e.ip)) for e in located]
-    candidates.append((center, -1))
-
-    def _coverage(cand_coord: GeoCoord) -> int:
-        return sum(
-            1 for e in located if haversine_km(e.coord, cand_coord) <= cfg.max_radius_km
-        )
-
-    best_coord, _ = min(
-        candidates, key=lambda c: (-_coverage(c[0]), c[0].lat, c[0].lon, c[1])
-    )
-    group = [
-        e.coord
-        for e in located
-        if haversine_km(e.coord, best_coord) <= cfg.max_radius_km
-    ]
-    coord = coordinate_median(group)
-    within = sum(1 for e in located if haversine_km(e.coord, coord) <= cfg.max_radius_km)
-    return PoPLocation(pop_id, coord, None, within / total, within / len(located), False)
+    # No majority anywhere: fall back to the largest group of votes. The
+    # median and every distinct located answer are candidate centers; the one
+    # covering the most located elements within the radius cap wins, ties
+    # broken by (lat, lon). Equal coordinates cover the same elements, so
+    # among them the first candidate stands for all: the median, then the
+    # answer of the lowest address (elements come in address order).
+    cap = cfg.max_radius_km
+    best_key = best_inside = None
+    for cand in [center] + answers.points:
+        inside = answers.within_km(cand, cap)
+        key = (-sum(n for n, ok in zip(answers.counts, inside) if ok), cand.lat, cand.lon)
+        if best_key is None or key < best_key:
+            best_key, best_inside = key, inside
+    coord = coordinate_median([c for c, i in zip(coords, answers.index) if best_inside[i]])
+    within = answers.count_within_km(coord, cap)
+    return PoPLocation(pop_id, coord, None, within / total, within / located, False)
 
 
 def locate_pop(
     pop,
-    dbs: Sequence[GeoDatabase],
+    dbs: Sequence[AnswerSource],
     cfg: VoteConfig = VoteConfig(),
     include_singletons: bool = False,
 ) -> PoPLocation:
@@ -189,7 +213,7 @@ def locate_pop(
 
 
 def locate_popmap(
-    popmap: PopMap, dbs: Sequence[GeoDatabase], cfg: VoteConfig = VoteConfig()
+    popmap: PopMap, dbs: Sequence[AnswerSource], cfg: VoteConfig = VoteConfig()
 ) -> dict[str, PoPLocation]:
     """Locate every PoP of a map, keyed by PoP id in map order."""
     return {

@@ -13,7 +13,7 @@ import pytest
 
 from popgeo import evaluate as ev
 from popgeo.cli import main as cli_main
-from popgeo.extract import ExtractionConfig, extract_pops, threshold_sweep
+from popgeo.extract import ExtractionConfig, PoP, PopMap, extract_pops, threshold_sweep
 from popgeo.geo import GeoCoord, coordinate_median, destination_point, haversine_km
 from popgeo.geodb import GeoDatabase, GeoRecord
 from popgeo.ingest import aggregate_edges, load_ip2as
@@ -240,7 +240,8 @@ def test_c08_correlation_sanity():
         )
 
     matrix = ev.correlation_matrix(
-        [db_of("base", base), db_of("shift", shifted), db_of("indep", indep)], ips
+        [db_of("base", base), db_of("shift", shifted), db_of("indep", indep)],
+        PopMap((PoP(ips[0], 1, frozenset(ips)),)),
     )
     assert matrix.value("base", "base") == 1.0
     assert abs(matrix.value("base", "shift") - 1.0) <= 1e-9

@@ -1,11 +1,14 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import popgeo.cli
 import popgeo.evaluate
 import popgeo.locate
 from popgeo.cli import main
+from popgeo.geodb import GeoDatabase
 from popgeo.extract import load_popmap
 from popgeo.locate import load_locations
 
@@ -168,6 +171,44 @@ class TestVoteCount:
         assert len(set(calls)) == expected
 
 
+class TestQueryCount:
+    def test_one_query_per_database_and_address(self, workdir, monkeypatch):
+        tmp, cfg = workdir
+        run(cfg, "synth")
+        run(cfg, "extract")
+        members = load_popmap(tmp / "popmap_singletons.json").member_ips()
+        calls = Counter()
+        real = GeoDatabase.query
+
+        def counting(self, ip):
+            calls[(self, ip)] += 1
+            return real(self, ip)
+
+        monkeypatch.setattr(GeoDatabase, "query", counting)
+        assert run(cfg, "evaluate") == 0  # [churn] reads two of the three files again
+        assert max(calls.values()) == 1
+        assert len(calls) == 3 * len(members)  # three files, singleton map
+
+    def test_one_load_per_database_file(self, workdir, monkeypatch):
+        tmp, cfg = workdir
+        run(cfg, "synth")
+        run(cfg, "extract")
+        loads = Counter()
+
+        def counting(kind, real):
+            def load(lines, name, null_coords=None):
+                loads[(kind, Path(lines.name))] += 1
+                return real(lines, name, null_coords)
+
+            return load
+
+        for kind in ("point", "range"):
+            name = f"load_{kind}_db"
+            monkeypatch.setattr(popgeo.cli, name, counting(kind, getattr(popgeo.cli, name)))
+        assert run(cfg, "evaluate") == 0  # [churn] names db_clean.csv and db_noisy.csv again
+        assert loads == {("point", tmp / f"db_{n}.csv"): 1 for n in ("clean", "noisy", "pinner")}
+
+
 class TestAgreementCount:
     def test_one_agreement_per_pop_and_database(self, workdir, monkeypatch):
         tmp, cfg = workdir
@@ -217,6 +258,36 @@ class TestErrors:
         run(cfg, "extract")
         (tmp / "regions.csv").write_text("weird,50,40,0,10\n")
         assert run(cfg, "evaluate", "--set", "paths.regions=regions.csv", "--set", "evaluate.regions=weird") == 1
+
+    @pytest.mark.parametrize(
+        "regions_line, settings",
+        [
+            (None, ["evaluate.regions=atlantis"]),
+            ("weird,50,40,0,10", ["paths.regions=regions.csv", "evaluate.regions=weird"]),
+            (None, ["churn.gone=point:db_clean.csv,point:db_gone.csv"]),
+        ],
+        ids=["unknown_region", "inverted_region_box", "missing_churn_file"],
+    )
+    def test_failed_evaluate_writes_nothing(self, workdir, regions_line, settings):
+        tmp, cfg = workdir
+        run(cfg, "synth")
+        run(cfg, "extract")
+        if regions_line is not None:
+            (tmp / "regions.csv").write_text(regions_line + "\n")
+        before = read_tree(tmp)
+        extra = [arg for item in settings for arg in ("--set", item)]
+        assert run(cfg, "evaluate", "--out", str(tmp), *extra) == 1
+        assert read_tree(tmp) == before
+
+    def test_core_map_must_match_singleton_map(self, workdir):
+        tmp, cfg = workdir
+        run(cfg, "synth")
+        run(cfg, "extract")
+        core = json.loads((tmp / "popmap_core.json").read_text())
+        (tmp / "popmap_core.json").write_text(json.dumps(core[1:]))  # one PoP fewer
+        before = read_tree(tmp)
+        assert run(cfg, "evaluate") == 1
+        assert read_tree(tmp) == before
 
     def test_descending_grid_rejected(self, workdir):
         tmp, cfg = workdir

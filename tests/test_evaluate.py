@@ -231,6 +231,35 @@ class TestAgreementCdf:
         assert ev.pop_agreement(pop, db, radii) == expected
 
 
+    @given(
+        st.integers(0, 2**30),
+        st.lists(st.floats(0.001, 3000.0), min_size=1, max_size=3),
+    )
+    @settings(max_examples=200)
+    def test_repeated_answers_match_brute_force(self, seed, radii):
+        # answers come from a pool of at most four coordinates, so most repeat
+        rng = random.Random(seed)
+        centre = GeoCoord(rng.uniform(-89, 89), rng.uniform(-180, 180))
+        pool = [centre] + [
+            destination_point(centre, rng.uniform(0.0, 2 * math.pi), rng.choice(radii))
+            for _ in range(rng.randint(0, 3))
+        ]
+        mapping = {}
+        for h in range(1, rng.randint(2, 16)):
+            coord = None if rng.random() < 0.15 else rng.choice(pool)
+            mapping[f"10.0.0.{h}"] = None if coord is None else (coord.lat, coord.lon)
+        pop = make_pop("10.0.0.1", list(mapping))
+        db = point_db("d", mapping)
+        located = [GeoCoord(*v) for v in mapping.values() if v is not None]
+        if not located:
+            assert ev.pop_agreement(pop, db, radii) is None
+            return
+        # a radius that one answer reaches exactly from another
+        radii = radii + [haversine_km(rng.choice(located), rng.choice(located))]
+        expected = tuple(_brute_force_agreement(pop, db, r) for r in radii)
+        assert ev.pop_agreement(pop, db, radii) == expected
+
+
 def _deviation(popmap, dbs, db):
     """deviation_samples of db against the vote of dbs, votes computed here."""
     return ev.deviation_samples(
@@ -294,6 +323,11 @@ class TestDeviation:
         assert report.skipped_pops == 1
 
 
+def _one_pop(ips):
+    """A map holding ips as the members of one PoP."""
+    return make_popmap(make_pop(ips[0], ips))
+
+
 class TestCorrelation:
     def _ips(self, n):
         return [int_to_ip(ip_to_int("10.0.0.0") + i) for i in range(n)]
@@ -302,7 +336,7 @@ class TestCorrelation:
         ips = self._ips(6)
         db = point_db("a", {ip: (i * 1.0, i * 2.0) for i, ip in enumerate(ips)})
         other = point_db("b", {ip: (i * 1.5, i * 0.5) for i, ip in enumerate(ips)})
-        m = ev.correlation_matrix([db, other], ips)
+        m = ev.correlation_matrix([db, other], _one_pop(ips))
         assert m.value("a", "a") == 1.0
         assert m.value("b", "b") == 1.0
 
@@ -312,7 +346,7 @@ class TestCorrelation:
         base = {ip: (rng.uniform(-60, 60), rng.uniform(-170, 170)) for ip in ips}
         a = point_db("a", base)
         b = point_db("b", {ip: (lat + 0.1, lon + 0.1) for ip, (lat, lon) in base.items()})
-        m = ev.correlation_matrix([a, b], ips)
+        m = ev.correlation_matrix([a, b], _one_pop(ips))
         assert m.value("a", "b") == pytest.approx(1.0, abs=1e-9)
 
     def test_independent_random_uncorrelated(self):
@@ -320,7 +354,7 @@ class TestCorrelation:
         rng = random.Random(7)
         a = point_db("a", {ip: (rng.uniform(-80, 80), rng.uniform(-180, 180)) for ip in ips})
         b = point_db("b", {ip: (rng.uniform(-80, 80), rng.uniform(-180, 180)) for ip in ips})
-        m = ev.correlation_matrix([a, b], ips)
+        m = ev.correlation_matrix([a, b], _one_pop(ips))
         assert abs(m.value("a", "b")) < 0.1
 
     def test_symmetry(self):
@@ -330,7 +364,7 @@ class TestCorrelation:
             point_db(n, {ip: (rng.uniform(-60, 60), rng.uniform(-170, 170)) for ip in ips})
             for n in ("a", "b", "c")
         ]
-        m = ev.correlation_matrix(dbs, ips)
+        m = ev.correlation_matrix(dbs, _one_pop(ips))
         for i in range(3):
             for j in range(3):
                 assert m.values[i][j] == m.values[j][i]
@@ -339,7 +373,7 @@ class TestCorrelation:
         ips = self._ips(5)
         flat = point_db("flat", {ip: (7.0, 7.0) for ip in ips})
         varied = point_db("v", {ip: (i * 1.0, i * 1.0) for i, ip in enumerate(ips)})
-        m = ev.correlation_matrix([flat, varied], ips)
+        m = ev.correlation_matrix([flat, varied], _one_pop(ips))
         assert m.value("flat", "flat") is None
         assert m.value("flat", "v") is None
 
@@ -352,14 +386,14 @@ class TestCorrelation:
         for ip in ips[::3]:
             patchy[ip] = None
         b = point_db("b", patchy)
-        without = ev.correlation_matrix([a, b], ips, include_nulls=False)
-        with_nulls = ev.correlation_matrix([a, b], ips, include_nulls=True)
+        without = ev.correlation_matrix([a, b], _one_pop(ips), include_nulls=False)
+        with_nulls = ev.correlation_matrix([a, b], _one_pop(ips), include_nulls=True)
         assert without.value("a", "b") == pytest.approx(1.0, abs=1e-9)
         assert with_nulls.value("a", "b") < without.value("a", "b")
 
     def test_fewer_than_two_dbs_rejected(self):
         with pytest.raises(ValueError):
-            ev.correlation_matrix([point_db("a", {})], ["10.0.0.1"])
+            ev.correlation_matrix([point_db("a", {})], _one_pop(["10.0.0.1"]))
 
 
 class TestAnomalies:
@@ -421,7 +455,7 @@ class TestChurn:
     def test_identical_snapshots(self):
         ips = [f"10.0.0.{h}" for h in range(1, 11)]
         db = point_db("a", {ip: (1.0, 1.0) for ip in ips})
-        assert ev.churn(db, db, ips) == 0.0
+        assert ev.churn(db, db, _one_pop(ips)) == 0.0
 
     def test_fractional_moves(self):
         ips = [int_to_ip(ip_to_int("10.0.0.0") + i) for i in range(1000)]
@@ -431,26 +465,26 @@ class TestChurn:
         for ip in ips[:24]:
             new_mapping[ip] = (moved.lat, moved.lon)
         new = point_db("new", new_mapping)
-        assert ev.churn(old, new, ips) == pytest.approx(0.024)
+        assert ev.churn(old, new, _one_pop(ips)) == pytest.approx(0.024)
 
     def test_null_flip_counts(self):
         ips = ["10.0.0.1", "10.0.0.2"]
         old = point_db("old", {"10.0.0.1": (1, 1), "10.0.0.2": (1, 1)})
         new = point_db("new", {"10.0.0.1": (1, 1), "10.0.0.2": None})
-        assert ev.churn(old, new, ips) == 0.5
+        assert ev.churn(old, new, _one_pop(ips)) == 0.5
 
     def test_jitter_below_epsilon_ignored(self):
         ips = ["10.0.0.1"]
         near = destination_point(GeoCoord(1, 1), 0.1, 0.5)
         old = point_db("old", {"10.0.0.1": (1, 1)})
         new = point_db("new", {"10.0.0.1": (near.lat, near.lon)})
-        assert ev.churn(old, new, ips, epsilon_km=1.0) == 0.0
-        assert ev.churn(old, new, ips, epsilon_km=0.1) == 1.0
+        assert ev.churn(old, new, _one_pop(ips), epsilon_km=1.0) == 0.0
+        assert ev.churn(old, new, _one_pop(ips), epsilon_km=0.1) == 1.0
 
     def test_empty_universe_rejected(self):
         db = point_db("a", {})
         with pytest.raises(ValueError):
-            ev.churn(db, db, [])
+            ev.churn(db, db, PopMap(()))
 
 
 class TestRegions:

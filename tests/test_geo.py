@@ -1,14 +1,17 @@
 import math
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from popgeo.geo import (
     EARTH_RADIUS_KM,
+    DistinctPoints,
     GeoCoord,
     coordinate_median,
     deg_to_km,
     destination_point,
+    distances_km,
     haversine_km,
 )
 
@@ -133,3 +136,76 @@ class TestCoordinateMedian:
         m = coordinate_median(pts)
         assert m.lat in [p.lat for p in pts]
         assert m.lon in [p.lon for p in pts]
+
+
+HALF_CIRCUMFERENCE_KM = math.pi * EARTH_RADIUS_KM  # ~20,015 km
+
+
+def _boundary_case(rng):
+    """A centre, answers that repeat, sit near its antipode or exactly at a radius, and radii."""
+    centre = GeoCoord(rng.uniform(-90, 90), rng.uniform(-180, 180))
+    antipode = GeoCoord(-centre.lat, centre.lon + 180.0)
+    radii = [10 ** rng.uniform(-3, math.log10(HALF_CIRCUMFERENCE_KM)) for _ in range(2)]
+    radii += [0.001, HALF_CIRCUMFERENCE_KM]
+    points = []
+    for _ in range(rng.randint(1, 12)):
+        roll = rng.random()
+        if roll < 0.3:
+            p = destination_point(centre, rng.uniform(0, 2 * math.pi), rng.choice(radii))
+        elif roll < 0.55:
+            # within a few metres of the antipode, where haversine_km is least accurate
+            p = destination_point(antipode, rng.uniform(0, 2 * math.pi), rng.uniform(0, 0.01))
+        elif roll < 0.7 and points:
+            p = rng.choice(points)
+        else:
+            p = GeoCoord(rng.uniform(-90, 90), rng.uniform(-180, 180))
+        points.append(p)
+    # radii that an answer reaches exactly, as measured by haversine_km
+    radii += [haversine_km(rng.choice(points), centre) for _ in range(2)]
+    return centre, points, radii
+
+
+class TestChordScreen:
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=400)
+    def test_within_matches_haversine(self, seed):
+        centre, points, radii = _boundary_case(random.Random(seed))
+        answers = DistinctPoints(points)
+        for radius in radii:
+            assert answers.within_km(centre, radius) == [
+                haversine_km(p, centre) <= radius for p in answers.points
+            ]
+            assert answers.count_within_km(centre, radius) == sum(
+                1 for p in points if haversine_km(p, centre) <= radius
+            )
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=100)
+    def test_answers_are_centres_too(self, seed):
+        # the vote and agreement test every distinct answer as a centre
+        _, points, radii = _boundary_case(random.Random(seed))
+        answers = DistinctPoints(points)
+        for centre in answers.points:
+            for radius in radii:
+                assert answers.count_within_km(centre, radius) == sum(
+                    1 for p in points if haversine_km(p, centre) <= radius
+                )
+
+    def test_radius_beyond_half_circumference_holds_everything(self):
+        centre = GeoCoord(10.0, 20.0)
+        antipode = GeoCoord(-10.0, -160.0)
+        answers = DistinctPoints([centre, antipode])
+        assert answers.within_km(centre, 25_000.0) == [True, True]
+        assert answers.within_km(centre, -1.0) == [False, False]
+
+    def test_repeats_counted_once_with_multiplicity(self):
+        a, b = GeoCoord(1.0, 2.0), GeoCoord(3.0, 4.0)
+        answers = DistinctPoints([a, b, a, a])
+        assert answers.points == [a, b]
+        assert answers.counts == [3, 1]
+        assert answers.index == [0, 1, 0, 0]
+
+    @given(coords, st.lists(coords, max_size=8))
+    def test_distances_bit_identical(self, centre, points):
+        got = distances_km(points, centre)
+        assert [d.hex() for d in got] == [haversine_km(p, centre).hex() for p in points]

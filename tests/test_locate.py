@@ -1,9 +1,12 @@
 import math
+import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from popgeo.geo import GeoCoord, coordinate_median, destination_point, haversine_km
+from popgeo.iputil import ip_to_int
 from popgeo.locate import (
     IpElement,
     PoPLocation,
@@ -50,6 +53,42 @@ def brute_force_range(elements, center, cfg):
     return cfg.max_radius_km, False
 
 
+def _parent_locate_elements(pop_id, elements, cfg):
+    """Reference: the vote as it was before identical answers were counted once.
+
+    Every located answer is a candidate and every radius test a haversine_km
+    call.
+    """
+    n = int((cfg.max_radius_km + 1e-9) / cfg.step_km)
+    grid = [k * cfg.step_km for k in range(1, n + 1)]
+    if not grid or grid[-1] < cfg.max_radius_km - 1e-9:
+        grid.append(cfg.max_radius_km)
+    total = len(elements)
+    located = [e for e in elements if e.coord is not None]
+    if not located:
+        return PoPLocation(pop_id, None, None, 0.0, 0.0, False)
+    center = coordinate_median([e.coord for e in located])
+    dists = sorted(haversine_km(e.coord, center) for e in located)
+    critical = dists[math.ceil(cfg.majority_fraction * len(located)) - 1]
+    i = bisect_left(grid, critical)
+    if i < len(grid):
+        found_range = grid[i]
+        in_range = [e.coord for e in located if haversine_km(e.coord, center) <= found_range]
+        coord = coordinate_median(in_range)
+        within = sum(1 for e in located if haversine_km(e.coord, coord) <= found_range)
+        return PoPLocation(pop_id, coord, found_range, within / total, within / len(located), True)
+    candidates = [(e.coord, ip_to_int(e.ip)) for e in located] + [(center, -1)]
+
+    def _coverage(cand):
+        return sum(1 for e in located if haversine_km(e.coord, cand) <= cfg.max_radius_km)
+
+    best, _ = min(candidates, key=lambda c: (-_coverage(c[0]), c[0].lat, c[0].lon, c[1]))
+    group = [e.coord for e in located if haversine_km(e.coord, best) <= cfg.max_radius_km]
+    coord = coordinate_median(group)
+    within = sum(1 for e in located if haversine_km(e.coord, coord) <= cfg.max_radius_km)
+    return PoPLocation(pop_id, coord, None, within / total, within / len(located), False)
+
+
 class TestVoteConfig:
     def test_defaults(self):
         cfg = VoteConfig()
@@ -84,6 +123,13 @@ class TestRadiusGrid:
     def test_degree_cap(self):
         grid = radius_grid(VoteConfig(step_km=1.11, max_radius_km=111.0))
         assert len(grid) == 100
+
+    def test_built_once_per_config_and_immutable(self):
+        grid = radius_grid(VoteConfig(step_km=2.0, max_radius_km=10.0))
+        assert radius_grid(VoteConfig(step_km=2.0, max_radius_km=10.0)) is grid
+        assert grid == (2.0, 4.0, 6.0, 8.0, 10.0)
+        with pytest.raises(TypeError):
+            grid[0] = 0.0  # shared by every vote with this configuration
 
 
 class TestCollectElements:
@@ -364,6 +410,42 @@ class TestLocateProperties:
                 1 for e in elements if haversine_km(e.coord, center) <= loc.range_km
             )
             assert within >= math.ceil(cfg.majority_fraction * len(elements))
+
+
+class TestVoteMatchesReference:
+    @given(
+        st.integers(0, 2**30),
+        st.sampled_from([(1.11, 555.0), (1.0, 500.0), (1.11, 111.0), (1.0, 5.0), (0.5, 2.0)]),
+        st.sampled_from([0.5, 0.3, 0.75, 1.0]),
+    )
+    @settings(max_examples=300)
+    def test_duplicate_heavy_grids(self, seed, preset, frac):
+        # answers from a pool of at most four coordinates, several databases
+        # per address, some nulls; the small caps force the fallback
+        rng = random.Random(seed)
+        cfg = VoteConfig(step_km=preset[0], max_radius_km=preset[1], majority_fraction=frac)
+        base = GeoCoord(rng.uniform(-80, 80), rng.uniform(-179, 179))
+        pool = [base] + [
+            destination_point(base, rng.uniform(0, 2 * math.pi), rng.choice([1.0, 3.0, 20.0, 700.0]))
+            for _ in range(rng.randint(0, 3))
+        ]
+        elements = [
+            IpElement(f"10.0.0.{h}", db, None if rng.random() < 0.2 else rng.choice(pool))
+            for h in range(1, rng.randint(2, 12))
+            for db in ("a", "b", "c")[: rng.randint(1, 3)]
+        ]
+        got = locate_elements("x", elements, cfg)
+        assert repr(got) == repr(_parent_locate_elements("x", elements, cfg))
+
+    def test_fallback_path_is_exercised(self):
+        a = GeoCoord(10.0, 10.0)
+        b = destination_point(a, 1.0, 20.0)
+        c = destination_point(a, 2.0, 20.0)
+        elements = els([a, a, b, b, c])
+        cfg = VoteConfig(step_km=1.0, max_radius_km=5.0)
+        loc = locate_elements("x", elements, cfg)
+        assert not loc.majority_found
+        assert loc == _parent_locate_elements("x", elements, cfg)
 
 
 class TestLocationSerialization:
