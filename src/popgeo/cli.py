@@ -15,6 +15,7 @@ import argparse
 import configparser
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -92,19 +93,10 @@ def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _getfloat(cp, section, option, default) -> float:
+def _get(cp, section, option, convert, default=None):
+    """convert(value) of a config key, or default when the key is absent or empty."""
     raw = cp.get(section, option, fallback=None)
-    return default if raw is None or raw == "" else float(raw)
-
-
-def _getint(cp, section, option, default) -> int:
-    raw = cp.get(section, option, fallback=None)
-    return default if raw is None or raw == "" else int(raw)
-
-
-def _optional_float(cp, section, option) -> Optional[float]:
-    raw = cp.get(section, option, fallback=None)
-    return None if raw is None or raw == "" else float(raw)
+    return default if raw is None or raw == "" else convert(raw)
 
 
 def _synth_db_specs(cp) -> tuple[SynthDbSpec, ...]:
@@ -139,17 +131,26 @@ def _build_synth_spec(cp) -> Optional[SynthSpec]:
     if len(intra) != 2 or len(inter) != 2:
         raise InputError("synth delay ranges need exactly two values: lo,hi")
     return SynthSpec(
-        pop_count=_getint(cp, "synth", "pop_count", 50),
-        ips_per_pop=_getint(cp, "synth", "ips_per_pop", 10),
-        as_count=_getint(cp, "synth", "as_count", 5),
+        pop_count=_get(cp, "synth", "pop_count", int, 50),
+        ips_per_pop=_get(cp, "synth", "ips_per_pop", int, 10),
+        as_count=_get(cp, "synth", "as_count", int, 5),
         intra_delay_ms=(intra[0], intra[1]),
         inter_delay_ms=(inter[0], inter[1]),
-        measurements_per_edge=_getint(cp, "synth", "measurements_per_edge", 5),
-        singletons_per_pop=_getint(cp, "synth", "singletons_per_pop", 0),
-        singleton_edge_measurements=_getint(cp, "synth", "singleton_edge_measurements", 2),
-        seed=_getint(cp, "synth", "seed", 0),
+        measurements_per_edge=_get(cp, "synth", "measurements_per_edge", int, 5),
+        singletons_per_pop=_get(cp, "synth", "singletons_per_pop", int, 0),
+        singleton_edge_measurements=_get(cp, "synth", "singleton_edge_measurements", int, 2),
+        seed=_get(cp, "synth", "seed", int, 0),
         dbs=_synth_db_specs(cp),
     )
+
+
+# dedicated flag (argparse dest) -> the config key it sets, as a --set item would
+DEDICATED_FLAGS = {
+    "step_km": "vote.step_km",
+    "max_radius_km": "vote.max_radius_km",
+    "seed": "synth.seed",
+    "grid": "sweep.grid",
+}
 
 
 def build_run_config(args) -> RunConfig:
@@ -163,7 +164,13 @@ def build_run_config(args) -> RunConfig:
     except configparser.Error as exc:
         raise InputError(f"bad config: {exc}") from exc
 
-    for item in args.set or []:
+    # dedicated flags are --set items applied last
+    overrides = list(args.set or [])
+    for flag, target in DEDICATED_FLAGS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            overrides.append(f"{target}={value}")
+    for item in overrides:
         target, sep, value = item.partition("=")
         section, dot, option = target.partition(".")
         if not sep or not dot:
@@ -171,19 +178,6 @@ def build_run_config(args) -> RunConfig:
         if not cp.has_section(section):
             cp.add_section(section)
         cp.set(section, option, value)
-
-    # dedicated flags override the config in place
-    def _override(section: str, option: str, value: str) -> None:
-        if not cp.has_section(section):
-            cp.add_section(section)
-        cp.set(section, option, value)
-
-    if getattr(args, "step_km", None) is not None:
-        _override("vote", "step_km", repr(args.step_km))
-    if getattr(args, "max_radius_km", None) is not None:
-        _override("vote", "max_radius_km", repr(args.max_radius_km))
-    if getattr(args, "seed", None) is not None:
-        _override("synth", "seed", str(args.seed))
 
     base = config_path.parent
 
@@ -219,48 +213,42 @@ def build_run_config(args) -> RunConfig:
             )
 
     try:
-        extraction = ExtractionConfig(
-            pop_max_delay_ms=_getfloat(cp, "extract", "pop_max_delay_ms", 5.0),
-            pop_min_measurements=_getint(cp, "extract", "pop_min_measurements", 5),
-            singleton_max_links=_getint(cp, "extract", "singleton_max_links", 2),
-            singleton_max_median_ms=_optional_float(cp, "extract", "singleton_max_median_ms"),
+        cfg = RunConfig(
+            base_dir=base,
+            out_dir=out_dir,
+            observations=_path_or_none("observations"),
+            ip2as=_path_or_none("ip2as"),
+            regions_file=_path_or_none("regions"),
+            null_coords_file=null_coords,
+            db_specs=db_specs,
+            churn_pairs=churn_pairs,
+            extraction=ExtractionConfig(
+                pop_max_delay_ms=_get(cp, "extract", "pop_max_delay_ms", float, 5.0),
+                pop_min_measurements=_get(cp, "extract", "pop_min_measurements", int, 5),
+                singleton_max_links=_get(cp, "extract", "singleton_max_links", int, 2),
+                singleton_max_median_ms=_get(cp, "extract", "singleton_max_median_ms", float),
+            ),
+            vote=VoteConfig(
+                step_km=_get(cp, "vote", "step_km", float, 1.11),
+                max_radius_km=_get(cp, "vote", "max_radius_km", float, 555.0),
+                majority_fraction=_get(cp, "vote", "majority_fraction", float, 0.5),
+            ),
+            agreement_radii=_floats(cp.get("evaluate", "agreement_radii_km", fallback="100,500")),
+            anomaly_min_ips=_get(cp, "evaluate", "anomaly_min_ips", int, 50),
+            anomaly_share_threshold=_get(cp, "evaluate", "anomaly_share_threshold", float, 0.8),
+            anomaly_rounding_deg=_get(cp, "evaluate", "anomaly_rounding_deg", float, 0.01),
+            churn_epsilon_km=_get(cp, "evaluate", "churn_epsilon_km", float, 1.0),
+            correlation_include_nulls=cp.getboolean("evaluate", "correlation_include_nulls", fallback=False),
+            region_names=[r.strip() for r in cp.get("evaluate", "regions", fallback="").split(",") if r.strip()],
+            sweep_grid=_floats(cp.get("sweep", "grid", fallback="")),
+            synth=_build_synth_spec(cp),
+            with_singletons=bool(getattr(args, "with_singletons", False)),
         )
-        vote = VoteConfig(
-            step_km=_getfloat(cp, "vote", "step_km", 1.11),
-            max_radius_km=_getfloat(cp, "vote", "max_radius_km", 555.0),
-            majority_fraction=_getfloat(cp, "vote", "majority_fraction", 0.5),
-        )
-        synth_spec = _build_synth_spec(cp)
+        if not 0.0 < cfg.anomaly_rounding_deg < math.inf:
+            raise ValueError(f"anomaly_rounding_deg must be positive and finite, got {cfg.anomaly_rounding_deg}")
     except ValueError as exc:
         raise InputError(f"bad config value: {exc}") from exc
-
-    grid_text = getattr(args, "grid", None) or cp.get("sweep", "grid", fallback="")
-    region_names = [
-        r.strip() for r in cp.get("evaluate", "regions", fallback="").split(",") if r.strip()
-    ]
-
-    return RunConfig(
-        base_dir=base,
-        out_dir=out_dir,
-        observations=_path_or_none("observations"),
-        ip2as=_path_or_none("ip2as"),
-        regions_file=_path_or_none("regions"),
-        null_coords_file=null_coords,
-        db_specs=db_specs,
-        churn_pairs=churn_pairs,
-        extraction=extraction,
-        vote=vote,
-        agreement_radii=_floats(cp.get("evaluate", "agreement_radii_km", fallback="100,500")),
-        anomaly_min_ips=_getint(cp, "evaluate", "anomaly_min_ips", 50),
-        anomaly_share_threshold=_getfloat(cp, "evaluate", "anomaly_share_threshold", 0.8),
-        anomaly_rounding_deg=_getfloat(cp, "evaluate", "anomaly_rounding_deg", 0.01),
-        churn_epsilon_km=_getfloat(cp, "evaluate", "churn_epsilon_km", 1.0),
-        correlation_include_nulls=cp.getboolean("evaluate", "correlation_include_nulls", fallback=False),
-        region_names=region_names,
-        sweep_grid=_floats(grid_text),
-        synth=synth_spec,
-        with_singletons=bool(getattr(args, "with_singletons", False)),
-    )
+    return cfg
 
 
 def _require_file(path: Optional[Path], what: str) -> Path:
@@ -304,22 +292,14 @@ def _write_lines(path: Path, lines: list[str]) -> None:
 
 
 def _write_cdf_csv(path: Path, header: str, series: ev.CdfSeries) -> None:
+    """Write series after checking it (CdfSeries.validate); a bad series is an InvariantError."""
+    try:
+        series.validate()
+    except ValueError as exc:
+        raise InvariantError(f"{path.name}: {exc}") from exc
     lines = [header]
     lines += [f"{x!r},{frac!r}" for x, frac in series.points]
     _write_lines(path, lines)
-
-
-def _selfcheck_cdf_csv(path: Path) -> None:
-    """Re-read a written CDF file and fail hard if it is not monotone."""
-    rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
-    xs = [float(r[0]) for r in rows]
-    fracs = [float(r[1]) for r in rows]
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise InvariantError(f"{path.name}: non-monotone x column")
-    if any(b < a for a, b in zip(fracs, fracs[1:])):
-        raise InvariantError(f"{path.name}: decreasing cumulative fraction")
-    if fracs and fracs[-1] > 1.0 + 1e-12:
-        raise InvariantError(f"{path.name}: cumulative fraction exceeds 1")
 
 
 def _popmap_paths(cfg: RunConfig) -> tuple[Path, Path]:
@@ -541,11 +521,6 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             summary["regions"][region.name] = counters
 
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-    for csv_path in sorted(out.glob("convergence_*.csv")) + sorted(out.glob("agreement_*.csv")) + sorted(
-        out.glob("deviation_*.csv")
-    ):
-        _selfcheck_cdf_csv(csv_path)
     log.info("evaluation bundle written to %s", out)
     return 0
 

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .extract import PopMap
 from .geo import DistinctPoints, GeoCoord, coordinate_median, distances_km, haversine_km
 from .geodb import AnswerSource
-from .ingest import ParseError, PrefixMap
+from .ingest import PrefixMap, read_records
 from .locate import PoPLocation
 
 
@@ -149,22 +149,19 @@ BUILTIN_REGIONS = {
 }
 
 
+def _region_row(fields: list[str]) -> tuple[str, tuple[float, ...]]:
+    if len(fields) != 5:
+        raise ValueError(f"expected 5 fields, got {len(fields)}")
+    box = tuple(float(v) for v in fields[1:])
+    RegionSpec(fields[0], (box,))
+    return fields[0], box
+
+
 def load_regions(lines: Iterable[str]) -> dict[str, RegionSpec]:
     """Parse `name,lat_min,lat_max,lon_min,lon_max` rows; repeated names union boxes."""
     boxes: dict[str, list] = defaultdict(list)
-    for lineno, raw in enumerate(lines, 1):
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
-        fields = [f.strip() for f in text.split(",")]
-        try:
-            if len(fields) != 5:
-                raise ValueError(f"expected 5 fields, got {len(fields)}")
-            box = tuple(float(v) for v in fields[1:])
-            RegionSpec(fields[0], (box,))
-            boxes[fields[0]].append(box)
-        except ValueError as exc:
-            raise ParseError(f"regions line {lineno}: {exc}") from exc
+    for name, box in read_records(lines, "regions", _region_row):
+        boxes[name].append(box)
     return {name: RegionSpec(name, tuple(bx)) for name, bx in boxes.items()}
 
 

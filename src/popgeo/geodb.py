@@ -16,7 +16,6 @@ of one AS to a single coordinate. It is the test oracle that makes the
 evaluation metrics checkable without proprietary data.
 """
 
-import csv
 import math
 import random
 import zlib
@@ -26,7 +25,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional, Union
 
 from .geo import GeoCoord, destination_point
-from .ingest import ParseError
+from .ingest import read_records
 from .iputil import int_to_ip, ip_to_int, parse_ip
 
 
@@ -156,8 +155,6 @@ def _normalize_ranges(entries):
 
 
 def _parse_coord_fields(lat_text: str, lon_text: str, null_coords) -> Optional[GeoCoord]:
-    lat_text = lat_text.strip()
-    lon_text = lon_text.strip()
     if not lat_text or not lon_text:
         return None
     coord = GeoCoord(float(lat_text), float(lon_text))
@@ -166,57 +163,43 @@ def _parse_coord_fields(lat_text: str, lon_text: str, null_coords) -> Optional[G
     return coord
 
 
-def _csv_rows(lines: Iterable[str]):
-    numbered = ((n, raw) for n, raw in enumerate(lines, 1))
-    filtered = ((n, raw) for n, raw in numbered if raw.strip() and not raw.lstrip().startswith("#"))
-    for lineno, raw in filtered:
-        row = next(csv.reader([raw]))
-        yield lineno, [f.strip() for f in row]
-
-
 def load_range_db(lines: Iterable[str], name: str, null_coords=None) -> GeoDatabase:
     """Load `start_ip,end_ip,country,city,lat,lon` lines; later lines win on overlap."""
-    entries = []
-    for lineno, row in _csv_rows(lines):
-        try:
-            if len(row) != 6:
-                raise ValueError(f"expected 6 fields, got {len(row)}")
-            start = parse_ip(row[0])
-            end = parse_ip(row[1])
-            if start > end:
-                raise ValueError(f"range start {row[0]} above end {row[1]}")
-            coord = _parse_coord_fields(row[4], row[5], null_coords)
-            entries.append((start, end, GeoRecord(coord, row[2] or None, row[3] or None)))
-        except ValueError as exc:
-            raise ParseError(f"{name}: line {lineno}: {exc}") from exc
-    return GeoDatabase(name, "range", ranges=entries)
+
+    def entry(row: list[str]) -> tuple[int, int, GeoRecord]:
+        if len(row) != 6:
+            raise ValueError(f"expected 6 fields, got {len(row)}")
+        start = parse_ip(row[0])
+        end = parse_ip(row[1])
+        if start > end:
+            raise ValueError(f"range start {row[0]} above end {row[1]}")
+        coord = _parse_coord_fields(row[4], row[5], null_coords)
+        return start, end, GeoRecord(coord, row[2] or None, row[3] or None)
+
+    return GeoDatabase(name, "range", ranges=read_records(lines, f"database {name}", entry))
 
 
 def load_point_db(lines: Iterable[str], name: str, null_coords=None) -> GeoDatabase:
     """Load `ip,lat,lon` lines into an exact-match table; duplicate IPs keep the last line."""
-    points = {}
-    for lineno, row in _csv_rows(lines):
-        try:
-            if len(row) != 3:
-                raise ValueError(f"expected 3 fields, got {len(row)}")
-            points[parse_ip(row[0])] = GeoRecord(_parse_coord_fields(row[1], row[2], null_coords))
-        except ValueError as exc:
-            raise ParseError(f"{name}: line {lineno}: {exc}") from exc
-    return GeoDatabase(name, "point", points=points)
+
+    def point(row: list[str]) -> tuple[int, GeoRecord]:
+        if len(row) != 3:
+            raise ValueError(f"expected 3 fields, got {len(row)}")
+        return parse_ip(row[0]), GeoRecord(_parse_coord_fields(row[1], row[2], null_coords))
+
+    return GeoDatabase(name, "point", points=read_records(lines, f"database {name}", point))
+
+
+def _null_coord(row: list[str]) -> tuple[float, float]:
+    if len(row) != 2:
+        raise ValueError(f"expected 2 fields, got {len(row)}")
+    coord = GeoCoord(float(row[0]), float(row[1]))
+    return coord.lat, coord.lon
 
 
 def load_null_coords(lines: Iterable[str]) -> set[tuple[float, float]]:
     """Load `lat,lon` lines naming coordinates to be treated as null replies."""
-    out = set()
-    for lineno, row in _csv_rows(lines):
-        try:
-            if len(row) != 2:
-                raise ValueError(f"expected 2 fields, got {len(row)}")
-            coord = GeoCoord(float(row[0]), float(row[1]))
-            out.add((coord.lat, coord.lon))
-        except ValueError as exc:
-            raise ParseError(f"null-coords line {lineno}: {exc}") from exc
-    return out
+    return set(read_records(lines, "null-coords", _null_coord))
 
 
 def save_point_db(db: GeoDatabase, path) -> None:

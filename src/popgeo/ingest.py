@@ -3,22 +3,26 @@
 Inputs are pre-decomposed one-hop delay observations (`src_ip,dst_ip,delay_ms`
 CSV) and an IP-to-AS prefix table (`prefix/len,asn` CSV). Observations are
 aggregated into directed edges carrying the exact median delay and the
-measurement count.
+measurement count. read_records is the line reader of every input format,
+these two and the geodb and evaluate ones alike.
 """
 
+import csv
 import ipaddress
 import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from statistics import median
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .iputil import ip_to_int
 
 log = logging.getLogger(__name__)
 
 DEFAULT_ERROR_CAP = 100
+
+T = TypeVar("T")
 
 
 class ParseError(ValueError):
@@ -67,39 +71,48 @@ class DelayEdge:
     as_dst: Optional[int] = None
 
 
-def _data_lines(lines: Iterable[str]):
-    """Yield (line_number, stripped_text) for non-empty, non-comment lines."""
+def read_records(
+    lines: Iterable[str], what: str, parse: Callable[[list[str]], T], max_errors: int = 0
+) -> Iterator[T]:
+    """Yield parse(fields) for every data line of a comma-separated input.
+
+    Every input format is read here, under one policy. Blank lines and `#`
+    comments are skipped but counted, so line numbers are physical. A line
+    holding a double quote is read as one CSV record, so a quoted field may
+    contain commas; other lines are split on commas. Fields are stripped. A
+    line whose fields or parse raise ValueError is logged and skipped; once
+    more than max_errors lines have failed, ParseError names `<what> line N`
+    and carries every (line_number, message) so far.
+    """
+    errors = []
     for lineno, raw in enumerate(lines, 1):
         text = raw.strip()
         if not text or text.startswith("#"):
             continue
-        yield lineno, text
+        try:
+            fields = next(csv.reader([text])) if '"' in text else text.split(",")
+            record = parse([f.strip() for f in fields])
+        except (ValueError, csv.Error) as exc:
+            errors.append((lineno, str(exc)))
+            if len(errors) > max_errors:
+                raise ParseError(f"{what} line {lineno}: {exc}", errors) from exc
+            log.warning("%s line %d skipped: %s", what, lineno, exc)
+            continue
+        yield record
+
+
+def _observation(fields: list[str]) -> DelayObservation:
+    if len(fields) != 3:
+        raise ValueError(f"expected 3 fields, got {len(fields)}")
+    return DelayObservation(fields[0], fields[1], float(fields[2]))
 
 
 def parse_observations(lines: Iterable[str], max_errors: int = DEFAULT_ERROR_CAP) -> list[DelayObservation]:
     """Parse `src_ip,dst_ip,delay_ms` lines into observations, in input order.
 
-    Malformed lines are skipped and logged with their line number; once more
-    than max_errors lines have failed the whole parse aborts with ParseError.
+    Up to max_errors malformed lines are logged and skipped (read_records).
     """
-    out = []
-    errors = []
-    for lineno, text in _data_lines(lines):
-        try:
-            fields = text.split(",")
-            if len(fields) != 3:
-                raise ValueError(f"expected 3 fields, got {len(fields)}")
-            out.append(DelayObservation(fields[0].strip(), fields[1].strip(), float(fields[2])))
-        except ValueError as exc:
-            errors.append((lineno, str(exc)))
-            if len(errors) > max_errors:
-                raise ParseError(
-                    f"aborting after {len(errors)} malformed observation lines (cap {max_errors})",
-                    errors,
-                ) from exc
-    for lineno, msg in errors:
-        log.warning("observation line %d skipped: %s", lineno, msg)
-    return out
+    return list(read_records(lines, "observation", _observation, max_errors))
 
 
 def aggregate_edges(observations: list[DelayObservation]) -> list[DelayEdge]:
@@ -145,33 +158,21 @@ class PrefixMap:
         return None
 
 
+def _prefix_entry(fields: list[str]) -> tuple[ipaddress.IPv4Network, int]:
+    if len(fields) != 2:
+        raise ValueError(f"expected 2 fields, got {len(fields)}")
+    net = ipaddress.ip_network(fields[0])
+    if not isinstance(net, ipaddress.IPv4Network):
+        raise ValueError(f"not an IPv4 prefix: {fields[0]}")
+    return net, int(fields[1])
+
+
 def load_ip2as(lines: Iterable[str], max_errors: int = DEFAULT_ERROR_CAP) -> PrefixMap:
     """Parse `prefix/len,asn` lines into a PrefixMap.
 
-    Malformed lines are skipped and logged, subject to the same error cap as
-    parse_observations.
+    Up to max_errors malformed lines are logged and skipped (read_records).
     """
-    entries = []
-    errors = []
-    for lineno, text in _data_lines(lines):
-        try:
-            fields = text.split(",")
-            if len(fields) != 2:
-                raise ValueError(f"expected 2 fields, got {len(fields)}")
-            net = ipaddress.ip_network(fields[0].strip())
-            if not isinstance(net, ipaddress.IPv4Network):
-                raise ValueError(f"not an IPv4 prefix: {fields[0]}")
-            entries.append((net, int(fields[1])))
-        except ValueError as exc:
-            errors.append((lineno, str(exc)))
-            if len(errors) > max_errors:
-                raise ParseError(
-                    f"aborting after {len(errors)} malformed ip2as lines (cap {max_errors})",
-                    errors,
-                ) from exc
-    for lineno, msg in errors:
-        log.warning("ip2as line %d skipped: %s", lineno, msg)
-    return PrefixMap(entries)
+    return PrefixMap(read_records(lines, "ip2as", _prefix_entry, max_errors))
 
 
 def annotate_as(edges: list[DelayEdge], prefix_map: PrefixMap) -> list[DelayEdge]:

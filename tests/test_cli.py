@@ -265,8 +265,18 @@ class TestErrors:
             (None, ["evaluate.regions=atlantis"]),
             ("weird,50,40,0,10", ["paths.regions=regions.csv", "evaluate.regions=weird"]),
             (None, ["churn.gone=point:db_clean.csv,point:db_gone.csv"]),
+            (None, ["evaluate.agreement_radii_km=100,abc"]),
+            (None, ["evaluate.correlation_include_nulls=maybe"]),
+            (None, ["evaluate.anomaly_rounding_deg=0"]),
         ],
-        ids=["unknown_region", "inverted_region_box", "missing_churn_file"],
+        ids=[
+            "unknown_region",
+            "inverted_region_box",
+            "missing_churn_file",
+            "bad_radii",
+            "bad_bool",
+            "zero_rounding",
+        ],
     )
     def test_failed_evaluate_writes_nothing(self, workdir, regions_line, settings):
         tmp, cfg = workdir
@@ -293,6 +303,24 @@ class TestErrors:
         tmp, cfg = workdir
         run(cfg, "synth")
         assert run(cfg, "sweep", "--grid", "9,5,1") == 1
+
+    def test_bad_grid_value_is_input_error(self, workdir):
+        tmp, cfg = workdir
+        run(cfg, "synth")
+        assert run(cfg, "sweep", "--grid", "1,x") == 1
+        assert not (tmp / "sweep.csv").exists()
+
+    def test_bad_cdf_is_invariant_error_before_writing(self, workdir, monkeypatch):
+        tmp, cfg = workdir
+        run(cfg, "synth")
+        run(cfg, "extract")
+
+        def decreasing(db_name, locations):
+            return popgeo.evaluate.CdfSeries(db_name, ((1.0, 0.5), (2.0, 0.25)), 4)
+
+        monkeypatch.setattr(popgeo.evaluate, "convergence_cdf", decreasing)
+        assert run(cfg, "evaluate") == 2
+        assert not list(tmp.glob("convergence_*.csv"))
 
     def test_no_databases_is_input_error(self, workdir, tmp_path):
         tmp, cfg = workdir

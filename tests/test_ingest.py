@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from popgeo.evaluate import load_regions
+from popgeo.geodb import load_null_coords, load_point_db, load_range_db
 from popgeo.ingest import (
     DelayObservation,
     ParseError,
@@ -171,3 +173,49 @@ class TestAnnotate:
         assert (cross.as_src, cross.as_dst) == (100, 200)
         unknown = by_pair[("10.0.0.1", "192.0.2.9")]
         assert (unknown.as_src, unknown.as_dst) == (100, None)
+
+
+# every input format: (loader, name in its messages, a good line, a line with "1,5" quoted where a
+# number belongs); the capped loaders run with cap 0 so their first bad line raises too
+_FORMATS = {
+    "observations": (
+        lambda lines: parse_observations(lines, max_errors=0),
+        "observation",
+        "1.1.1.1,2.2.2.2,1.0",
+        '1.1.1.1,2.2.2.2,"1,5"',
+    ),
+    "ip2as": (lambda lines: load_ip2as(lines, max_errors=0), "ip2as", "10.0.0.0/8,1", '10.0.0.0/8,"1,5"'),
+    "range_db": (
+        lambda lines: load_range_db(lines, "t"),
+        "database t",
+        "1.0.0.0,1.0.0.9,US,X,1,1",
+        '1.0.0.0,1.0.0.9,US,X,"1,5",1',
+    ),
+    "point_db": (lambda lines: load_point_db(lines, "t"), "database t", "2.2.2.2,1,1", '2.2.2.2,1,"1,5"'),
+    "null_coords": (load_null_coords, "null-coords", "1,1", '1,"1,5"'),
+    "regions": (load_regions, "regions", "r,1,2,3,4", 'r,1,"1,5",3,4'),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_FORMATS))
+class TestOneReader:
+    def test_bad_line_reported_with_physical_line_number(self, fmt):
+        load, what, good, _ = _FORMATS[fmt]
+        load(["# header", "", good])
+        with pytest.raises(ParseError, match=f"^{what} line 4: ") as exc:
+            load(["# header", "", good, "garbage"])
+        assert [lineno for lineno, _ in exc.value.errors] == [4]
+
+    def test_quoted_field_with_comma_is_one_field(self, fmt):
+        load, what, good, quoted = _FORMATS[fmt]
+        # split on commas the line has one field too many; read as CSV, "1,5" is one bad number
+        with pytest.raises(ParseError, match=f"^{what} line 2: .*'1,5'"):
+            load([good, quoted])
+
+
+def test_unbalanced_quote_skips_only_its_line(caplog):
+    lines = ["1.1.1.1,2.2.2.2,1.0", '1.1.1.1,"2.2.2.2,2.0', "1.1.1.1,2.2.2.2,3.0", "1.1.1.1,2.2.2.2,4.0"]
+    with caplog.at_level("WARNING"):
+        obs = parse_observations(lines)
+    assert [o.delay_ms for o in obs] == [1.0, 3.0, 4.0]
+    assert "observation line 2 skipped" in caplog.text
