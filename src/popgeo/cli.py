@@ -17,7 +17,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -31,7 +31,7 @@ from .extract import (
     threshold_sweep,
 )
 from .geodb import AnswerTable, answer_table, load_null_coords, load_point_db, load_range_db
-from .ingest import ParseError, aggregate_edges, load_ip2as, parse_observations
+from .ingest import DelayEdge, ParseError, PrefixMap, aggregate_edges, load_ip2as, parse_observations
 from .locate import PoPLocation, VoteConfig, locate_popmap, save_locations
 from .synth import SynthDbSpec, SynthSpec, generate_scenario, write_scenario
 
@@ -99,9 +99,44 @@ def _get(cp, section, option, convert, default=None):
     return default if raw is None or raw == "" else convert(raw)
 
 
+def _configured(cp, section: str, converters: Mapping[str, Callable]) -> dict:
+    """convert(value) of each key that section sets non-empty; the dataclass defaults the rest."""
+    return {
+        option: convert(raw)
+        for option, convert in converters.items()
+        if (raw := cp.get(section, option, fallback="")) != ""
+    }
+
+
+def _delay_range(text: str) -> tuple[float, float]:
+    lo_hi = _floats(text)
+    if len(lo_hi) != 2:
+        raise ValueError("synth delay ranges need exactly two values: lo,hi")
+    return lo_hi[0], lo_hi[1]
+
+
+# the keys of [extract], [vote] and [synth], each with the conversion of its value
+EXTRACT_KEYS = {
+    "pop_max_delay_ms": float,
+    "pop_min_measurements": int,
+    "singleton_max_links": int,
+    "singleton_max_median_ms": float,
+}
+VOTE_KEYS = {"step_km": float, "max_radius_km": float, "majority_fraction": float}
+SYNTH_KEYS = {
+    "pop_count": int,
+    "ips_per_pop": int,
+    "as_count": int,
+    "intra_delay_ms": _delay_range,
+    "inter_delay_ms": _delay_range,
+    "measurements_per_edge": int,
+    "singletons_per_pop": int,
+    "singleton_edge_measurements": int,
+    "seed": int,
+}
+
+
 def _synth_db_specs(cp) -> tuple[SynthDbSpec, ...]:
-    if not cp.has_section("synth_dbs"):
-        return (SynthDbSpec("truthful"),)
     specs = []
     for name, value in cp.items("synth_dbs"):
         kwargs: dict = {}
@@ -126,22 +161,10 @@ def _synth_db_specs(cp) -> tuple[SynthDbSpec, ...]:
 def _build_synth_spec(cp) -> Optional[SynthSpec]:
     if not cp.has_section("synth"):
         return None
-    intra = _floats(cp.get("synth", "intra_delay_ms", fallback="1.5,2.0"))
-    inter = _floats(cp.get("synth", "inter_delay_ms", fallback="10,30"))
-    if len(intra) != 2 or len(inter) != 2:
-        raise InputError("synth delay ranges need exactly two values: lo,hi")
-    return SynthSpec(
-        pop_count=_get(cp, "synth", "pop_count", int, 50),
-        ips_per_pop=_get(cp, "synth", "ips_per_pop", int, 10),
-        as_count=_get(cp, "synth", "as_count", int, 5),
-        intra_delay_ms=(intra[0], intra[1]),
-        inter_delay_ms=(inter[0], inter[1]),
-        measurements_per_edge=_get(cp, "synth", "measurements_per_edge", int, 5),
-        singletons_per_pop=_get(cp, "synth", "singletons_per_pop", int, 0),
-        singleton_edge_measurements=_get(cp, "synth", "singleton_edge_measurements", int, 2),
-        seed=_get(cp, "synth", "seed", int, 0),
-        dbs=_synth_db_specs(cp),
-    )
+    spec = _configured(cp, "synth", SYNTH_KEYS)
+    if cp.has_section("synth_dbs"):
+        spec["dbs"] = _synth_db_specs(cp)
+    return SynthSpec(**spec)
 
 
 # dedicated flag (argparse dest) -> the config key it sets, as a --set item would
@@ -157,7 +180,7 @@ def build_run_config(args) -> RunConfig:
     config_path = Path(args.config)
     if not config_path.is_file():
         raise InputError(f"config file not found: {config_path}")
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)  # a '%' in a value is literal
     cp.optionxform = str  # keep database names case-sensitive
     try:
         cp.read_string(config_path.read_text(encoding="utf-8"), source=str(config_path))
@@ -222,17 +245,8 @@ def build_run_config(args) -> RunConfig:
             null_coords_file=null_coords,
             db_specs=db_specs,
             churn_pairs=churn_pairs,
-            extraction=ExtractionConfig(
-                pop_max_delay_ms=_get(cp, "extract", "pop_max_delay_ms", float, 5.0),
-                pop_min_measurements=_get(cp, "extract", "pop_min_measurements", int, 5),
-                singleton_max_links=_get(cp, "extract", "singleton_max_links", int, 2),
-                singleton_max_median_ms=_get(cp, "extract", "singleton_max_median_ms", float),
-            ),
-            vote=VoteConfig(
-                step_km=_get(cp, "vote", "step_km", float, 1.11),
-                max_radius_km=_get(cp, "vote", "max_radius_km", float, 555.0),
-                majority_fraction=_get(cp, "vote", "majority_fraction", float, 0.5),
-            ),
+            extraction=ExtractionConfig(**_configured(cp, "extract", EXTRACT_KEYS)),
+            vote=VoteConfig(**_configured(cp, "vote", VOTE_KEYS)),
             agreement_radii=_floats(cp.get("evaluate", "agreement_radii_km", fallback="100,500")),
             anomaly_min_ips=_get(cp, "evaluate", "anomaly_min_ips", int, 50),
             anomaly_share_threshold=_get(cp, "evaluate", "anomaly_share_threshold", float, 0.8),
@@ -302,28 +316,27 @@ def _write_cdf_csv(path: Path, header: str, series: ev.CdfSeries) -> None:
     _write_lines(path, lines)
 
 
-def _popmap_paths(cfg: RunConfig) -> tuple[Path, Path]:
-    return cfg.out_dir / "popmap_core.json", cfg.out_dir / "popmap_singletons.json"
-
-
-def cmd_extract(cfg: RunConfig) -> int:
+def _read_graph(cfg: RunConfig) -> tuple[list[DelayEdge], PrefixMap]:
+    """The aggregated edges of the observations file, and the ip2as prefix map."""
     obs_path = _require_file(cfg.observations, "observations file")
     ip2as_path = _require_file(cfg.ip2as, "ip2as file")
     with obs_path.open(encoding="utf-8") as fh:
         observations = parse_observations(fh)
     if not observations:
         log.warning("observation file %s contains no observations", obs_path)
-    with ip2as_path.open(encoding="utf-8") as fh:
-        prefix_map = load_ip2as(fh)
-
     edges = aggregate_edges(observations)
+    with ip2as_path.open(encoding="utf-8") as fh:
+        return edges, load_ip2as(fh)
+
+
+def cmd_extract(cfg: RunConfig) -> int:
+    edges, prefix_map = _read_graph(cfg)
     full = extract_pops(edges, prefix_map, cfg.extraction, with_singletons=True)
-    core = PopMap(tuple(replace(pop, singleton_members=frozenset()) for pop in full.pops))
+    core = full.core()
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    core_path, full_path = _popmap_paths(cfg)
-    save_popmap(core, core_path)
-    save_popmap(full, full_path)
+    save_popmap(core, cfg.out_dir / "popmap_core.json")
+    save_popmap(full, cfg.out_dir / "popmap_singletons.json")
     log.info(
         "extracted %d PoPs: %d core interfaces, %d with singletons",
         len(core.pops),
@@ -333,11 +346,10 @@ def cmd_extract(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_metric_popmap(cfg: RunConfig) -> PopMap:
-    core_path, full_path = _popmap_paths(cfg)
-    if cfg.with_singletons:
-        return load_popmap(_require_file(full_path, "PoP map"), with_singletons=True)
-    return load_popmap(_require_file(core_path, "PoP map"), with_singletons=False)
+def _load_popmaps(cfg: RunConfig) -> tuple[PopMap, PopMap]:
+    """The core and the singleton PoP map, both from the singleton map extract wrote."""
+    full = load_popmap(_require_file(cfg.out_dir / "popmap_singletons.json", "PoP map"))
+    return full.core(), full
 
 
 def _votes(cfg: RunConfig, popmap: PopMap, dbs) -> dict[str, dict[str, PoPLocation]]:
@@ -351,7 +363,7 @@ def _agreements(cfg: RunConfig, popmap: PopMap, dbs) -> dict[str, dict[str, Opti
     """Each database's per-PoP agreement fractions, one per configured radius."""
     return {
         db.name: {
-            pop.id: ev.pop_agreement(pop, db, cfg.agreement_radii, popmap.with_singletons)
+            pop.id: ev.pop_agreement(pop, db, cfg.agreement_radii)
             for pop in popmap.pops
         }
         for db in dbs
@@ -361,7 +373,8 @@ def _agreements(cfg: RunConfig, popmap: PopMap, dbs) -> dict[str, dict[str, Opti
 def cmd_locate(cfg: RunConfig) -> int:
     if not cfg.db_specs:
         raise InputError("no databases configured")
-    popmap = _load_metric_popmap(cfg)
+    popmap_core, popmap_all = _load_popmaps(cfg)
+    popmap = popmap_all if cfg.with_singletons else popmap_core
     table = _table_loader(cfg, popmap)
     dbs = [table(spec) for spec in cfg.db_specs]
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -425,15 +438,9 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     if not cfg.db_specs:
         raise InputError("no databases configured")
     # read and check every input before the first write, so a bad one leaves no partial bundle
-    core_path, full_path = _popmap_paths(cfg)
-    popmap_core = load_popmap(_require_file(core_path, "core PoP map"), with_singletons=False)
-    popmap_all = load_popmap(_require_file(full_path, "singleton PoP map"), with_singletons=True)
-    # the answer tables are built over the singleton map and serve the core map too
-    if [(p.id, p.core_members, p.singleton_members) for p in popmap_core.pops] != [
-        (p.id, p.core_members, frozenset()) for p in popmap_all.pops
-    ]:
-        raise InputError(f"{core_path.name} is not {full_path.name} without its singleton members")
+    popmap_core, popmap_all = _load_popmaps(cfg)
     popmap = popmap_all if cfg.with_singletons else popmap_core
+    # the answer tables are built over the singleton map and serve the core map too
     table = _table_loader(cfg, popmap_all)
     dbs = [table(spec) for spec in cfg.db_specs]
     churn_pairs = [(label, table(old), table(new)) for label, old, new in cfg.churn_pairs]
@@ -447,7 +454,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
     summary: dict = {"databases": [db.name for db in dbs]}
 
-    if popmap_core.pops and popmap_all.pops:
+    if popmap_all.pops:
         stats = [ev.null_stats(popmap_core, popmap_all, db) for db in dbs]
         summary["null_stats"] = [vars(s) for s in stats]
     else:
@@ -528,12 +535,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     if not cfg.sweep_grid:
         raise InputError("no sweep grid configured (use --grid or [sweep] grid)")
-    obs_path = _require_file(cfg.observations, "observations file")
-    ip2as_path = _require_file(cfg.ip2as, "ip2as file")
-    with obs_path.open(encoding="utf-8") as fh:
-        edges = aggregate_edges(parse_observations(fh))
-    with ip2as_path.open(encoding="utf-8") as fh:
-        prefix_map = load_ip2as(fh)
+    edges, prefix_map = _read_graph(cfg)
     try:
         rows = threshold_sweep(edges, prefix_map, cfg.extraction, cfg.sweep_grid)
     except ValueError as exc:

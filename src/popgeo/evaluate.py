@@ -5,8 +5,9 @@ per-IP deviation from the cross-database majority location, pairwise database
 correlation, default-location (headquarters) anomaly detection, snapshot
 churn, and regional breakdowns. Everything here is deterministic and pure
 over its inputs. Every metric reads a database's answers through
-`answers(pop, include_singletons)`, from a GeoDatabase or from its
-AnswerTable, and none queries the database itself.
+`answers(pop)`, from a GeoDatabase or from its AnswerTable, and none
+queries the database itself. A metric counts every member of the map it is
+given; the core map is `PopMap.core()` of the singleton map.
 """
 
 from __future__ import annotations
@@ -203,9 +204,7 @@ def convergence_cdf(db_name: str, locations: Iterable[PoPLocation]) -> CdfSeries
     return CdfSeries.from_values(f"convergence:{db_name}", ranges, tail_count=tail)
 
 
-def pop_agreement(
-    pop, db: AnswerSource, radii_km: Sequence[float], include_singletons: bool = False
-) -> Optional[tuple[float, ...]]:
+def pop_agreement(pop, db: AnswerSource, radii_km: Sequence[float]) -> Optional[tuple[float, ...]]:
     """Largest fraction of one PoP's located answers inside any circle, per radius.
 
     Candidate centers are every distinct located answer plus the median of
@@ -213,7 +212,7 @@ def pop_agreement(
     multiplicity. Returns one fraction per entry of radii_km, or None when
     the database is null on every member.
     """
-    coords = [c for _, c in db.answers(pop, include_singletons) if c is not None]
+    coords = [c for _, c in db.answers(pop) if c is not None]
     if not coords:
         return None
     answers = DistinctPoints(coords)
@@ -295,7 +294,7 @@ def deviation_samples(
             continue
         own_loc = own[pop.id]
         own_range = own_loc.range_km if own_loc.majority_found else None
-        located = [a for a in db_under_test.answers(pop, popmap.with_singletons) if a[1] is not None]
+        located = [a for a in db_under_test.answers(pop) if a[1] is not None]
         distances = distances_km([coord for _, coord in located], cross.coord)
         samples += [DeviationSample(ip, d, own_range) for (ip, _), d in zip(located, distances)]
     return DeviationReport(db_under_test.name, tuple(samples), skipped)
@@ -324,7 +323,7 @@ def correlation_matrix(
     if len(dbs) < 2:
         raise ValueError("correlation needs at least two databases")
     answers = [
-        [coord for pop in popmap.pops for _, coord in db.answers(pop, popmap.with_singletons)]
+        [coord for pop in popmap.pops for _, coord in db.answers(pop)]
         for db in dbs
     ]
 
@@ -374,7 +373,7 @@ def detect_default_location(
     """
     per_as: dict[int, Counter] = defaultdict(Counter)
     for pop in popmap.pops:
-        for ip, coord in db.answers(pop, popmap.with_singletons):
+        for ip, coord in db.answers(pop):
             if coord is None:
                 continue
             asn = prefix_map.lookup(ip) if prefix_map is not None else None
@@ -411,8 +410,8 @@ def churn(
         raise ValueError("churn over an empty PoP map")
     changed = total = 0
     for pop in popmap.pops:
-        old = db_old.answers(pop, popmap.with_singletons)
-        new = db_new.answers(pop, popmap.with_singletons)
+        old = db_old.answers(pop)
+        new = db_new.answers(pop)
         total += len(old)
         for (_, a), (_, b) in zip(old, new):
             if (a is None) != (b is None):
@@ -435,4 +434,4 @@ def filter_by_region(popmap: PopMap, locations, region: RegionSpec) -> PopMap:
         and loc.coord is not None
         and region.contains(loc.coord)
     )
-    return PopMap(kept, popmap.with_singletons)
+    return PopMap(kept)

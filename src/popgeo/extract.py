@@ -69,14 +69,15 @@ class PoP:
         if self.core_members & self.singleton_members:
             raise ValueError("core and singleton member sets overlap")
 
-    def members(self, include_singletons: bool = True) -> frozenset[str]:
-        return self.core_members | self.singleton_members if include_singletons else self.core_members
+    def members(self) -> frozenset[str]:
+        return self.core_members | self.singleton_members
 
 
 @dataclass(frozen=True)
 class PopMap:
+    """PoPs with disjoint members; every reader of a map counts all of pop.members()."""
+
     pops: tuple[PoP, ...]
-    with_singletons: bool = False
 
     def __post_init__(self):
         seen: set[str] = set()
@@ -92,6 +93,10 @@ class PopMap:
         for pop in self.pops:
             out.extend(pop.members())
         return sort_ips(out)
+
+    def core(self) -> "PopMap":
+        """This map with every PoP's singleton members dropped."""
+        return PopMap(tuple(replace(pop, singleton_members=frozenset()) for pop in self.pops))
 
     def core_ip_count(self) -> int:
         return sum(len(p.core_members) for p in self.pops)
@@ -167,7 +172,7 @@ def attach_singletons(
     It joins the same-AS PoP minimizing the median of the edge delays between
     them, provided that median stays within the singleton threshold.
     """
-    if popmap.with_singletons:
+    if any(pop.singleton_members for pop in popmap.pops):
         raise ValueError("attach_singletons expects a map extracted without singletons")
     member_of: dict[str, int] = {}
     for idx, pop in enumerate(popmap.pops):
@@ -208,7 +213,7 @@ def attach_singletons(
         replace(pop, singleton_members=frozenset(assigned.get(idx, ())))
         for idx, pop in enumerate(popmap.pops)
     )
-    return PopMap(pops, with_singletons=True)
+    return PopMap(pops)
 
 
 def _component_pops(graph: Sequence[DelayEdge]) -> PopMap:
@@ -224,7 +229,7 @@ def _component_pops(graph: Sequence[DelayEdge]) -> PopMap:
             continue
         pop_id = min(members, key=ip_to_int)
         pops.append(PoP(pop_id, as_of[pop_id], frozenset(members)))
-    return PopMap(tuple(pops), with_singletons=False)
+    return PopMap(tuple(pops))
 
 
 def extract_pops(
@@ -285,7 +290,7 @@ def save_popmap(popmap: PopMap, path) -> None:
     Path(path).write_text(json.dumps(popmap_to_obj(popmap), indent=2) + "\n", encoding="utf-8")
 
 
-def load_popmap(path, with_singletons: Optional[bool] = None) -> PopMap:
+def load_popmap(path) -> PopMap:
     rows = json.loads(Path(path).read_text(encoding="utf-8"))
     pops = tuple(
         PoP(
@@ -296,6 +301,4 @@ def load_popmap(path, with_singletons: Optional[bool] = None) -> PopMap:
         )
         for row in rows
     )
-    if with_singletons is None:
-        with_singletons = any(p.singleton_members for p in pops)
-    return PopMap(pops, with_singletons=with_singletons)
+    return PopMap(pops)

@@ -5,8 +5,8 @@ lat,lon`) and per-IP point databases (`ip,lat,lon`). A miss or a record
 without usable coordinates is a null reply, which is a value here, not an
 error: "country known, coordinates unknown" stays representable.
 
-Readers take a PoP's answers through `answers(pop, include_singletons)`:
-its members in numeric address order, each with a coordinate or None. A
+Readers take a PoP's answers through `answers(pop)`: all of
+`pop.members()` in numeric address order, each with a coordinate or None. A
 GeoDatabase queries for them; an AnswerTable holds them, built with one
 query per (database, address), and answers the same way without querying.
 
@@ -77,9 +77,9 @@ class GeoDatabase:
             return self._records[i]
         return NULL_RECORD
 
-    def answers(self, pop, include_singletons: bool = True) -> tuple[Answer, ...]:
-        """pop.members(include_singletons) in numeric address order, each with its coordinate or None."""
-        members = sorted(pop.members(include_singletons), key=ip_to_int)
+    def answers(self, pop) -> tuple[Answer, ...]:
+        """pop.members() in numeric address order, each with its coordinate or None."""
+        members = sorted(pop.members(), key=ip_to_int)
         return tuple((ip, self.query(ip).coord) for ip in members)
 
     def point_entries(self) -> list[tuple[str, GeoRecord]]:
@@ -94,9 +94,9 @@ class AnswerTable:
 
     rows maps each PoP id to its core answers and to all its answers, both
     as GeoDatabase.answers returns them. Built over the singleton map, the
-    table serves readers of either map: a PoP without singleton members, or
-    a reader leaving them out, gets the core answers. Two names on one
-    database file share one rows mapping.
+    table serves readers of either map: a PoP without singleton members, as
+    in the core map, gets the core answers. Two names on one database file
+    share one rows mapping.
     """
 
     __slots__ = ("name", "rows")
@@ -105,10 +105,10 @@ class AnswerTable:
         self.name = name
         self.rows = rows
 
-    def answers(self, pop, include_singletons: bool = True) -> tuple[Answer, ...]:
+    def answers(self, pop) -> tuple[Answer, ...]:
         """GeoDatabase.answers for pop, read from the table."""
         core, full = self.rows[pop.id]
-        return full if include_singletons and pop.singleton_members else core
+        return full if pop.singleton_members else core
 
 
 def answer_table(db: GeoDatabase, popmap) -> AnswerTable:

@@ -95,11 +95,9 @@ def radius_grid(cfg: VoteConfig) -> tuple[float, ...]:
     return grid
 
 
-def collect_elements(
-    pop, dbs: Sequence[AnswerSource], include_singletons: bool = False
-) -> list[IpElement]:
+def collect_elements(pop, dbs: Sequence[AnswerSource]) -> list[IpElement]:
     """The full answer grid: one element per (member IP, database) pair, in address order."""
-    rows = [db.answers(pop, include_singletons) for db in dbs]
+    rows = [db.answers(pop) for db in dbs]
     return [
         IpElement(ip, db.name, coord)
         for by_db in zip(*rows)
@@ -202,23 +200,16 @@ def locate_elements(pop_id: str, elements: Sequence[IpElement], cfg: VoteConfig)
     return PoPLocation(pop_id, coord, None, within / total, within / located, False)
 
 
-def locate_pop(
-    pop,
-    dbs: Sequence[AnswerSource],
-    cfg: VoteConfig = VoteConfig(),
-    include_singletons: bool = False,
-) -> PoPLocation:
+def locate_pop(pop, dbs: Sequence[AnswerSource], cfg: VoteConfig = VoteConfig()) -> PoPLocation:
     """Locate one PoP from the answers of one or more databases."""
-    return locate_elements(pop.id, collect_elements(pop, dbs, include_singletons), cfg)
+    return locate_elements(pop.id, collect_elements(pop, dbs), cfg)
 
 
 def locate_popmap(
     popmap: PopMap, dbs: Sequence[AnswerSource], cfg: VoteConfig = VoteConfig()
 ) -> dict[str, PoPLocation]:
     """Locate every PoP of a map, keyed by PoP id in map order."""
-    return {
-        pop.id: locate_pop(pop, dbs, cfg, popmap.with_singletons) for pop in popmap.pops
-    }
+    return {pop.id: locate_pop(pop, dbs, cfg) for pop in popmap.pops}
 
 
 def locations_to_obj(locations: Sequence[PoPLocation]) -> list[dict]:

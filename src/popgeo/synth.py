@@ -166,10 +166,8 @@ def generate_scenario(spec: SynthSpec) -> Scenario:
     ip2as = tuple((f"10.{a}.0.0/16", BASE_ASN + a) for a in range(spec.as_count))
 
     ordered = tuple(sorted(pops, key=lambda p: ip_to_int(p.id)))
-    truth_all = PopMap(ordered, with_singletons=True)
-    truth_core = PopMap(
-        tuple(PoP(p.id, p.asn, p.core_members) for p in ordered), with_singletons=False
-    )
+    truth_all = PopMap(ordered)
+    truth_core = truth_all.core()
 
     dbs = tuple(
         synth_db(

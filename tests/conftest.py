@@ -25,8 +25,8 @@ def make_pop(pop_id, members, asn=1, singletons=()):
     return PoP(pop_id, asn, frozenset(members), frozenset(singletons))
 
 
-def make_popmap(*pops, with_singletons=False):
-    return PopMap(tuple(pops), with_singletons=with_singletons)
+def make_popmap(*pops):
+    return PopMap(tuple(pops))
 
 
 @pytest.fixture(scope="session")

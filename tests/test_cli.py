@@ -127,6 +127,20 @@ class TestPipeline:
         assert len(plateau) == 1
         assert rows[1].split(",")[1:] == ["0", "0"]
 
+    @pytest.mark.parametrize("extra", [[], ["--with-singletons"]], ids=["core", "singletons"])
+    def test_core_map_file_is_not_read(self, workdir, extra):
+        tmp, cfg = workdir
+        run(cfg, "synth")
+        run(cfg, "extract")
+        for command in ("locate", "evaluate"):
+            assert run(cfg, command, *extra) == 0
+        expected = read_tree(tmp)
+        del expected["popmap_core.json"]
+        (tmp / "popmap_core.json").unlink()
+        for command in ("locate", "evaluate"):
+            assert run(cfg, command, *extra) == 0
+        assert read_tree(tmp) == expected
+
     def test_locate_with_singletons(self, workdir):
         tmp, cfg = workdir
         run(cfg, "synth")
@@ -289,15 +303,16 @@ class TestErrors:
         assert run(cfg, "evaluate", "--out", str(tmp), *extra) == 1
         assert read_tree(tmp) == before
 
-    def test_core_map_must_match_singleton_map(self, workdir):
+    @pytest.mark.parametrize(
+        "seed_line, extra",
+        [("seed = 5%", []), ("seed = 11", ["--set", "synth.seed=5%"])],
+        ids=["in_file", "in_set"],
+    )
+    def test_percent_in_value_is_input_error(self, workdir, caplog, seed_line, extra):
         tmp, cfg = workdir
-        run(cfg, "synth")
-        run(cfg, "extract")
-        core = json.loads((tmp / "popmap_core.json").read_text())
-        (tmp / "popmap_core.json").write_text(json.dumps(core[1:]))  # one PoP fewer
-        before = read_tree(tmp)
-        assert run(cfg, "evaluate") == 1
-        assert read_tree(tmp) == before
+        cfg.write_text(BASE_CONFIG.replace("seed = 11", seed_line), encoding="utf-8")
+        assert run(cfg, "synth", *extra) == 1
+        assert all(record.exc_info is None for record in caplog.records)  # no traceback
 
     def test_descending_grid_rejected(self, workdir):
         tmp, cfg = workdir

@@ -17,12 +17,12 @@ from conftest import make_pop, make_popmap, point_db
 CFG = VoteConfig()
 
 
-def _grid_popmap(pop_count=4, size=5, asn=100, with_singletons=False):
+def _grid_popmap(pop_count=4, size=5, asn=100):
     pops = []
     for p in range(pop_count):
         ips = [f"10.0.{p}.{h}" for h in range(1, size + 1)]
         pops.append(make_pop(ips[0], ips, asn=asn))
-    return make_popmap(*pops, with_singletons=with_singletons)
+    return make_popmap(*pops)
 
 
 def _db_at(name, popmap, coords_by_pop, nulls=()):
@@ -59,10 +59,7 @@ class TestNullStats:
 
     def test_singleton_map_counted_separately(self):
         core = make_popmap(make_pop("10.0.0.1", ["10.0.0.1", "10.0.0.2"]))
-        full = make_popmap(
-            make_pop("10.0.0.1", ["10.0.0.1", "10.0.0.2"], singletons=["10.0.0.9"]),
-            with_singletons=True,
-        )
+        full = make_popmap(make_pop("10.0.0.1", ["10.0.0.1", "10.0.0.2"], singletons=["10.0.0.9"]))
         db = point_db("d", {"10.0.0.1": (1, 1), "10.0.0.2": (1, 1)})  # singleton null
         stats = ev.null_stats(core, full, db)
         assert stats.pct_null_ip_core == 0.0
@@ -123,7 +120,7 @@ class TestConvergenceCdf:
 
 def _agreement_cdf(popmap, db, radius_km):
     """agreement_cdf of db at one radius, per-PoP agreement computed here."""
-    per_pop = [ev.pop_agreement(pop, db, [radius_km], popmap.with_singletons) for pop in popmap.pops]
+    per_pop = [ev.pop_agreement(pop, db, [radius_km]) for pop in popmap.pops]
     (series,) = ev.agreement_cdf(db.name, [radius_km], per_pop)
     return series
 

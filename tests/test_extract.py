@@ -119,7 +119,8 @@ class TestAttachSingletons:
             edge("10.0.0.1", "10.0.0.7", 1.0),
         ]
         full = attach_singletons(self._popmap(), edges, DEFAULT)
-        assert full.with_singletons
+        with pytest.raises(ValueError):  # the result is a singleton map
+            attach_singletons(full, edges, DEFAULT)
         assert full.pops[0].singleton_members == {"10.0.0.7"}
 
     def test_leaf_prefers_lower_median(self):

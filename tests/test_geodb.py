@@ -141,7 +141,7 @@ def _truth_fixture():
         make_pop("10.0.1.1", ["10.0.1.1", "10.0.1.2", "10.0.1.3"], asn=100),
         make_pop("10.0.2.1", ["10.0.2.1", "10.0.2.2", "10.0.2.3"], asn=200),
     ]
-    popmap = make_popmap(*pops, with_singletons=True)
+    popmap = make_popmap(*pops)
     truth = {
         "10.0.0.1": GeoCoord(40.0, -105.0),
         "10.0.1.1": GeoCoord(48.0, 2.0),

@@ -154,8 +154,9 @@ class TestCollectElements:
     def test_include_singletons_adds_rows(self):
         pop = make_pop("10.0.0.1", ["10.0.0.1"], singletons=["10.0.0.9"])
         db = point_db("a", {"10.0.0.1": (1, 1), "10.0.0.9": (1, 1)})
-        assert len(collect_elements(pop, [db], include_singletons=False)) == 1
-        assert len(collect_elements(pop, [db], include_singletons=True)) == 2
+        (core,) = make_popmap(pop).core().pops
+        assert len(collect_elements(core, [db])) == 1
+        assert len(collect_elements(pop, [db])) == 2
 
 
 class TestMajorityVoteRange:
@@ -369,12 +370,13 @@ class TestLocatePopmap:
 
     def test_honours_with_singletons(self):
         first, second, db = self._pops_and_db()
-        core = locate_popmap(make_popmap(first, second), [db])
-        full = locate_popmap(make_popmap(first, second, with_singletons=True), [db])
+        popmap = make_popmap(first, second)
+        core = locate_popmap(popmap.core(), [db])
+        full = locate_popmap(popmap, [db])
         assert core["10.0.1.1"].frac_all == 1.0
         # the null singleton answer joins the vote only with singletons
         assert full["10.0.1.1"].frac_all == pytest.approx(2 / 3)
-        assert full["10.0.1.1"] == locate_pop(first, [db], include_singletons=True)
+        assert full["10.0.1.1"] == locate_pop(first, [db])
 
 
 coords_st = st.tuples(
