@@ -55,7 +55,6 @@ class DbSpec:
 
 @dataclass
 class RunConfig:
-    base_dir: Path
     out_dir: Path
     observations: Optional[Path]
     ip2as: Optional[Path]
@@ -106,6 +105,14 @@ def _configured(cp, section: str, converters: Mapping[str, Callable]) -> dict:
         for option, convert in converters.items()
         if (raw := cp.get(section, option, fallback="")) != ""
     }
+
+
+def _radii(text: str) -> list[float]:
+    """Agreement radii in km: finite, non-negative, and each naming its own output file."""
+    radii = _floats(text)
+    if not radii or not all(0.0 <= r < math.inf for r in radii) or len({f"{r:g}" for r in radii}) < len(radii):
+        raise ValueError(f"agreement radii must be distinct, finite and non-negative, got {text!r}")
+    return radii
 
 
 def _delay_range(text: str) -> tuple[float, float]:
@@ -237,7 +244,6 @@ def build_run_config(args) -> RunConfig:
 
     try:
         cfg = RunConfig(
-            base_dir=base,
             out_dir=out_dir,
             observations=_path_or_none("observations"),
             ip2as=_path_or_none("ip2as"),
@@ -247,7 +253,7 @@ def build_run_config(args) -> RunConfig:
             churn_pairs=churn_pairs,
             extraction=ExtractionConfig(**_configured(cp, "extract", EXTRACT_KEYS)),
             vote=VoteConfig(**_configured(cp, "vote", VOTE_KEYS)),
-            agreement_radii=_floats(cp.get("evaluate", "agreement_radii_km", fallback="100,500")),
+            agreement_radii=_get(cp, "evaluate", "agreement_radii_km", _radii, [100.0, 500.0]),
             anomaly_min_ips=_get(cp, "evaluate", "anomaly_min_ips", int, 50),
             anomaly_share_threshold=_get(cp, "evaluate", "anomaly_share_threshold", float, 0.8),
             anomaly_rounding_deg=_get(cp, "evaluate", "anomaly_rounding_deg", float, 0.01),

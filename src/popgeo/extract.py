@@ -18,7 +18,7 @@ from pathlib import Path
 from statistics import median
 from typing import Optional, Sequence
 
-from .ingest import DelayEdge, PrefixMap, annotate_as
+from .ingest import DelayEdge, ParseError, PrefixMap
 from .iputil import ip_to_int, sort_ips
 
 
@@ -126,15 +126,15 @@ class _DisjointSets:
         return groups
 
 
-def filter_graph(edges: Sequence[DelayEdge], cfg: ExtractionConfig) -> list[DelayEdge]:
-    """Keep well-measured, short, same-AS edges: the graph PoPs are built on."""
+def filter_graph(edges: Sequence[DelayEdge], prefix_map: PrefixMap, cfg: ExtractionConfig) -> list[DelayEdge]:
+    """Keep well-measured, short edges within one AS known to prefix_map: the graph PoPs are built on."""
     return [
         e
         for e in edges
         if e.median_delay_ms <= cfg.pop_max_delay_ms
         and e.count >= cfg.pop_min_measurements
-        and e.as_src is not None
-        and e.as_src == e.as_dst
+        and (asn := prefix_map.lookup(e.src)) is not None
+        and asn == prefix_map.lookup(e.dst)
     ]
 
 
@@ -152,18 +152,8 @@ def connected_components(edges: Sequence[DelayEdge]) -> list[set[str]]:
     return comps
 
 
-def _as_of_interfaces(edges: Sequence[DelayEdge]) -> dict[str, Optional[int]]:
-    out: dict[str, Optional[int]] = {}
-    for e in edges:
-        if e.as_src is not None:
-            out.setdefault(e.src, e.as_src)
-        if e.as_dst is not None:
-            out.setdefault(e.dst, e.as_dst)
-    return out
-
-
 def attach_singletons(
-    popmap: PopMap, all_edges: Sequence[DelayEdge], cfg: ExtractionConfig
+    popmap: PopMap, all_edges: Sequence[DelayEdge], prefix_map: PrefixMap, cfg: ExtractionConfig
 ) -> PopMap:
     """Attach low-degree leftover interfaces to their nearest PoP.
 
@@ -186,11 +176,10 @@ def attach_singletons(
         neighbors[e.dst].add(e.src)
         incident[e.src].append(e)
         incident[e.dst].append(e)
-    as_of = _as_of_interfaces(all_edges)
 
     assigned: dict[int, set[str]] = defaultdict(set)
     for ip in sort_ips(neighbors):
-        if ip in member_of or as_of.get(ip) is None:
+        if ip in member_of or (asn := prefix_map.lookup(ip)) is None:
             continue
         if len(neighbors[ip]) > cfg.singleton_max_links:
             continue
@@ -198,7 +187,7 @@ def attach_singletons(
         for e in incident[ip]:
             other = e.dst if e.src == ip else e.src
             pop_idx = member_of.get(other)
-            if pop_idx is not None and popmap.pops[pop_idx].asn == as_of[ip]:
+            if pop_idx is not None and popmap.pops[pop_idx].asn == asn:
                 delays_to_pop[pop_idx].append(e.median_delay_ms)
         if not delays_to_pop:
             continue
@@ -216,19 +205,18 @@ def attach_singletons(
     return PopMap(pops)
 
 
-def _component_pops(graph: Sequence[DelayEdge]) -> PopMap:
+def _component_pops(graph: Sequence[DelayEdge], prefix_map: PrefixMap) -> PopMap:
     """One PoP per connected component of a filtered graph.
 
     Only a self-loop edge yields a one-interface component; it is dropped,
     because a PoP needs at least two co-located interfaces to be credible.
     """
-    as_of = _as_of_interfaces(graph)
     pops = []
     for members in connected_components(graph):
         if len(members) < 2:
             continue
         pop_id = min(members, key=ip_to_int)
-        pops.append(PoP(pop_id, as_of[pop_id], frozenset(members)))
+        pops.append(PoP(pop_id, prefix_map.lookup(pop_id), frozenset(members)))
     return PopMap(tuple(pops))
 
 
@@ -240,14 +228,12 @@ def extract_pops(
 ) -> PopMap:
     """Full extraction pipeline over an aggregated edge list.
 
-    Annotates AS numbers, filters the graph, and returns one PoP per
-    connected component, ordered by id; with_singletons also attaches
-    low-degree leftover interfaces.
+    Filters the graph and returns one PoP per connected component, ordered
+    by id; with_singletons also attaches low-degree leftover interfaces.
     """
-    annotated = annotate_as(edges, prefix_map)
-    popmap = _component_pops(filter_graph(annotated, cfg))
+    popmap = _component_pops(filter_graph(edges, prefix_map, cfg), prefix_map)
     if with_singletons:
-        popmap = attach_singletons(popmap, annotated, cfg)
+        popmap = attach_singletons(popmap, edges, prefix_map, cfg)
     return popmap
 
 
@@ -260,16 +246,16 @@ def threshold_sweep(
     """Re-run extraction for each delay threshold in an ascending grid.
 
     Returns (threshold_ms, pop_count, ip_count) rows; every other config
-    field is held fixed. Edges are annotated once for the whole grid.
+    field is held fixed.
     """
     if not delay_grid:
         raise ValueError("empty delay grid")
     if any(b <= a for a, b in zip(delay_grid, delay_grid[1:])):
         raise ValueError("delay grid must be strictly ascending")
-    annotated = annotate_as(edges, prefix_map)
     rows = []
     for threshold in delay_grid:
-        popmap = _component_pops(filter_graph(annotated, replace(cfg, pop_max_delay_ms=threshold)))
+        graph = filter_graph(edges, prefix_map, replace(cfg, pop_max_delay_ms=threshold))
+        popmap = _component_pops(graph, prefix_map)
         rows.append((threshold, len(popmap.pops), popmap.core_ip_count()))
     return rows
 
@@ -290,15 +276,28 @@ def save_popmap(popmap: PopMap, path) -> None:
     Path(path).write_text(json.dumps(popmap_to_obj(popmap), indent=2) + "\n", encoding="utf-8")
 
 
+def _members(ips: list) -> frozenset[str]:
+    """One member list of a map file; every member must parse with ip_to_int."""
+    for ip in ips:
+        if not isinstance(ip, str):
+            raise TypeError(f"member {ip!r} is not an address string")
+        ip_to_int(ip)
+    return frozenset(ips)
+
+
 def load_popmap(path) -> PopMap:
-    rows = json.loads(Path(path).read_text(encoding="utf-8"))
-    pops = tuple(
-        PoP(
-            row["id"],
-            int(row["asn"]),
-            frozenset(row["core_members"]),
-            frozenset(row.get("singleton_members", ())),
+    """Read a map written by save_popmap; a malformed file is a ParseError naming it."""
+    try:
+        rows = json.loads(Path(path).read_text(encoding="utf-8"))
+        pops = tuple(
+            PoP(
+                row["id"],
+                int(row["asn"]),
+                _members(row["core_members"]),
+                _members(row.get("singleton_members", [])),
+            )
+            for row in rows
         )
-        for row in rows
-    )
-    return PopMap(pops)
+        return PopMap(pops)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed PoP map {path}: {exc!r}") from exc

@@ -12,7 +12,7 @@ import ipaddress
 import logging
 import math
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from statistics import median
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
@@ -60,15 +60,13 @@ class DelayEdge:
     """Aggregate of all observations for one directed (src, dst) pair.
 
     median_delay_ms is the exact median of the observed delays (mean of the
-    middle pair for even counts); as_src/as_dst are None until annotated.
+    middle pair for even counts); the ip2as PrefixMap knows each end's AS.
     """
 
     src: str
     dst: str
     median_delay_ms: float
     count: int
-    as_src: Optional[int] = None
-    as_dst: Optional[int] = None
 
 
 def read_records(
@@ -136,7 +134,7 @@ class PrefixMap:
     """Longest-prefix-match table from CIDR prefixes to AS numbers.
 
     Unmatched addresses resolve to None (unknown AS). Duplicate prefixes keep
-    the last entry.
+    the last entry. This is the one place that knows an interface's AS.
     """
 
     def __init__(self, entries: Iterable[tuple[ipaddress.IPv4Network, int]]):
@@ -144,18 +142,17 @@ class PrefixMap:
         for net, asn in entries:
             self._by_len.setdefault(net.prefixlen, {})[int(net.network_address)] = asn
         self._lens = sorted(self._by_len, reverse=True)
+        self._answers: dict[str, Optional[int]] = {}  # by address string: one walk per distinct address
 
     def __len__(self) -> int:
         return sum(len(d) for d in self._by_len.values())
 
     def lookup(self, ip: str) -> Optional[int]:
-        value = ip_to_int(ip)
-        for plen in self._lens:
-            mask = (0xFFFFFFFF << (32 - plen)) & 0xFFFFFFFF
-            asn = self._by_len[plen].get(value & mask)
-            if asn is not None:
-                return asn
-        return None
+        if ip not in self._answers:
+            value = ip_to_int(ip)
+            hits = (self._by_len[plen].get(value >> (32 - plen) << (32 - plen)) for plen in self._lens)
+            self._answers[ip] = next((asn for asn in hits if asn is not None), None)
+        return self._answers[ip]
 
 
 def _prefix_entry(fields: list[str]) -> tuple[ipaddress.IPv4Network, int]:
@@ -173,11 +170,3 @@ def load_ip2as(lines: Iterable[str], max_errors: int = DEFAULT_ERROR_CAP) -> Pre
     Up to max_errors malformed lines are logged and skipped (read_records).
     """
     return PrefixMap(read_records(lines, "ip2as", _prefix_entry, max_errors))
-
-
-def annotate_as(edges: list[DelayEdge], prefix_map: PrefixMap) -> list[DelayEdge]:
-    """Fill as_src/as_dst on every edge from the prefix map."""
-    return [
-        replace(e, as_src=prefix_map.lookup(e.src), as_dst=prefix_map.lookup(e.dst))
-        for e in edges
-    ]

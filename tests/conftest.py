@@ -8,8 +8,8 @@ from popgeo.iputil import ip_to_int
 from popgeo.synth import SynthDbSpec, SynthSpec, generate_scenario
 
 
-def edge(src, dst, median_ms, count=5, as_src=1, as_dst=1):
-    return DelayEdge(src, dst, median_ms, count, as_src, as_dst)
+def edge(src, dst, median_ms, count=5):
+    return DelayEdge(src, dst, median_ms, count)
 
 
 def point_db(name, mapping):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -246,6 +249,28 @@ class TestAgreementCount:
         assert summary["regions"]["world"]["pop_count"] == len(pops)
 
 
+def _bad_member(text):
+    rows = json.loads(text)
+    rows[0]["core_members"].append("10.0.0.999")
+    return json.dumps(rows)
+
+
+def _numeric_member(text):
+    rows = json.loads(text)
+    rows[0]["core_members"].append(167772161)
+    return json.dumps(rows)
+
+
+def _missing_asn(text):
+    rows = json.loads(text)
+    del rows[0]["asn"]
+    return json.dumps(rows)
+
+
+def _truncated_json(text):
+    return text[: len(text) // 2]
+
+
 class TestErrors:
     def test_missing_config(self, tmp_path):
         assert main(["extract", "--config", str(tmp_path / "nope.ini")]) == 1
@@ -282,6 +307,9 @@ class TestErrors:
             (None, ["evaluate.agreement_radii_km=100,abc"]),
             (None, ["evaluate.correlation_include_nulls=maybe"]),
             (None, ["evaluate.anomaly_rounding_deg=0"]),
+            (None, ["evaluate.agreement_radii_km=100,-5"]),
+            (None, ["evaluate.agreement_radii_km=nan"]),
+            (None, ["evaluate.agreement_radii_km=100,100"]),
         ],
         ids=[
             "unknown_region",
@@ -290,6 +318,9 @@ class TestErrors:
             "bad_radii",
             "bad_bool",
             "zero_rounding",
+            "negative_radius",
+            "nan_radius",
+            "duplicate_radius",
         ],
     )
     def test_failed_evaluate_writes_nothing(self, workdir, regions_line, settings):
@@ -301,6 +332,34 @@ class TestErrors:
         before = read_tree(tmp)
         extra = [arg for item in settings for arg in ("--set", item)]
         assert run(cfg, "evaluate", "--out", str(tmp), *extra) == 1
+        assert read_tree(tmp) == before
+
+    def test_empty_radii_take_the_default(self, workdir):
+        tmp, cfg = workdir
+        run(cfg, "synth")
+        run(cfg, "extract")
+        assert run(cfg, "evaluate") == 0
+        default = {p.name: p.read_bytes() for p in tmp.glob("agreement_*.csv")}
+        assert default
+        for p in tmp.glob("agreement_*.csv"):
+            p.unlink()
+        assert run(cfg, "evaluate", "--set", "evaluate.agreement_radii_km=") == 0
+        assert {p.name: p.read_bytes() for p in tmp.glob("agreement_*.csv")} == default
+
+    @pytest.mark.parametrize("command", ["locate", "evaluate"])
+    @pytest.mark.parametrize(
+        "corrupt",
+        [_bad_member, _numeric_member, _missing_asn, _truncated_json],
+        ids=["bad_member", "numeric_member", "missing_asn", "truncated_json"],
+    )
+    def test_malformed_popmap_is_input_error(self, workdir, corrupt, command):
+        tmp, cfg = workdir
+        run(cfg, "synth")
+        run(cfg, "extract")
+        path = tmp / "popmap_singletons.json"
+        path.write_text(corrupt(path.read_text()))
+        before = read_tree(tmp)
+        assert run(cfg, command) == 1
         assert read_tree(tmp) == before
 
     @pytest.mark.parametrize(
@@ -493,3 +552,18 @@ class TestSmallFixtures:
         assert (tmp / "convergence_full__plains.csv").exists()
         summary = json.loads((tmp / "summary.json").read_text())
         assert summary["regions"]["plains"]["pop_count"] == 2
+
+
+class TestStdlibOnly:
+    def test_cli_imports_only_the_standard_library(self):
+        # -S skips site, whose .pth hooks may import third-party modules before popgeo runs
+        probe = (
+            "import sys, popgeo.cli; "
+            "print(sorted({m.partition('.')[0] for m in sys.modules}"
+            " - set(sys.stdlib_module_names) - {'popgeo', '__main__'}))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "[]"

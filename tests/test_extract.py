@@ -15,13 +15,14 @@ from popgeo.extract import (
     save_popmap,
     threshold_sweep,
 )
-from popgeo.ingest import aggregate_edges, annotate_as, load_ip2as
+from popgeo.ingest import aggregate_edges, load_ip2as
 from popgeo.synth import ip2as_lines
 
 from conftest import edge
 
 
 DEFAULT = ExtractionConfig()
+ONE_AS = load_ip2as(["10.0.0.0/8,1"])  # every 10.x interface in AS 1
 
 
 class TestConfig:
@@ -49,24 +50,25 @@ class TestConfig:
 class TestFilterGraph:
     def test_kept(self):
         e = edge("10.0.0.1", "10.0.0.2", 3.0, count=7)
-        assert filter_graph([e], DEFAULT) == [e]
+        assert filter_graph([e], ONE_AS, DEFAULT) == [e]
 
     def test_dropped_below_measurement_threshold(self):
         e = edge("10.0.0.1", "10.0.0.2", 3.0, count=4)
-        assert filter_graph([e], DEFAULT) == []
+        assert filter_graph([e], ONE_AS, DEFAULT) == []
 
     def test_dropped_above_delay_threshold(self):
         e = edge("10.0.0.1", "10.0.0.2", 6.0, count=10)
-        assert filter_graph([e], DEFAULT) == []
+        assert filter_graph([e], ONE_AS, DEFAULT) == []
 
     def test_dropped_cross_as_or_unknown(self):
-        cross = edge("10.0.0.1", "10.0.0.2", 1.0, as_src=1, as_dst=2)
-        unknown = edge("10.0.0.1", "10.0.0.2", 1.0, as_src=None, as_dst=None)
-        assert filter_graph([cross, unknown], DEFAULT) == []
+        cross = edge("10.0.0.1", "10.0.0.2", 1.0)
+        unknown = edge("10.0.0.3", "10.0.0.4", 1.0)
+        prefix_map = load_ip2as(["10.0.0.1/32,1", "10.0.0.2/32,2"])
+        assert filter_graph([cross, unknown], prefix_map, DEFAULT) == []
 
     def test_boundary_values_kept(self):
         e = edge("10.0.0.1", "10.0.0.2", 5.0, count=5)
-        assert filter_graph([e], DEFAULT) == [e]
+        assert filter_graph([e], ONE_AS, DEFAULT) == [e]
 
 
 class TestConnectedComponents:
@@ -118,9 +120,9 @@ class TestAttachSingletons:
             edge("10.0.0.1", "10.0.0.2", 1.0),
             edge("10.0.0.1", "10.0.0.7", 1.0),
         ]
-        full = attach_singletons(self._popmap(), edges, DEFAULT)
+        full = attach_singletons(self._popmap(), edges, ONE_AS, DEFAULT)
         with pytest.raises(ValueError):  # the result is a singleton map
-            attach_singletons(full, edges, DEFAULT)
+            attach_singletons(full, edges, ONE_AS, DEFAULT)
         assert full.pops[0].singleton_members == {"10.0.0.7"}
 
     def test_leaf_prefers_lower_median(self):
@@ -128,13 +130,13 @@ class TestAttachSingletons:
             edge("10.0.0.1", "10.0.0.7", 1.0),
             edge("10.0.1.1", "10.0.0.7", 4.0),
         ]
-        full = attach_singletons(self._popmap(), edges, DEFAULT)
+        full = attach_singletons(self._popmap(), edges, ONE_AS, DEFAULT)
         assert full.pops[0].singleton_members == {"10.0.0.7"}
         assert full.pops[1].singleton_members == frozenset()
 
     def test_leaf_beyond_threshold_unassigned(self):
         edges = [edge("10.0.0.1", "10.0.0.7", 9.0)]
-        full = attach_singletons(self._popmap(), edges, DEFAULT)
+        full = attach_singletons(self._popmap(), edges, ONE_AS, DEFAULT)
         assert all(not p.singleton_members for p in full.pops)
 
     def test_too_many_links_unassigned(self):
@@ -143,12 +145,12 @@ class TestAttachSingletons:
             edge("10.0.0.7", "10.0.0.2", 1.0),
             edge("10.0.0.7", "10.0.1.1", 1.0),
         ]
-        full = attach_singletons(self._popmap(), edges, DEFAULT)
+        full = attach_singletons(self._popmap(), edges, ONE_AS, DEFAULT)
         assert all(not p.singleton_members for p in full.pops)
 
     def test_unknown_as_excluded(self):
-        edges = [edge("10.0.0.1", "10.0.0.7", 1.0, as_src=1, as_dst=None)]
-        full = attach_singletons(self._popmap(), edges, DEFAULT)
+        edges = [edge("10.0.0.1", "10.0.0.7", 1.0)]
+        full = attach_singletons(self._popmap(), edges, load_ip2as(["10.0.0.1/32,1"]), DEFAULT)
         assert all(not p.singleton_members for p in full.pops)
 
     def test_cross_as_pop_not_eligible(self):
@@ -160,10 +162,11 @@ class TestAttachSingletons:
         )
         # leaf belongs to AS 2 but its only cheap edge goes into the AS 1 PoP
         edges = [
-            edge("10.0.0.1", "10.0.0.7", 1.0, as_src=1, as_dst=2),
-            edge("10.0.1.1", "10.0.0.7", 2.0, as_src=2, as_dst=2),
+            edge("10.0.0.1", "10.0.0.7", 1.0),
+            edge("10.0.1.1", "10.0.0.7", 2.0),
         ]
-        full = attach_singletons(popmap, edges, DEFAULT)
+        prefix_map = load_ip2as(["10.0.0.1/32,1", "10.0.0.7/32,2", "10.0.1.0/24,2"])
+        full = attach_singletons(popmap, edges, prefix_map, DEFAULT)
         assert full.pops[0].singleton_members == frozenset()
         assert full.pops[1].singleton_members == {"10.0.0.7"}
 
@@ -171,7 +174,7 @@ class TestAttachSingletons:
 class TestExtractPops:
     def test_two_pop_fixture(self):
         prefix_map = load_ip2as(TWO_POP_IP2AS)
-        popmap = extract_pops(_strip_as(_two_pop_edges()), prefix_map)
+        popmap = extract_pops(_two_pop_edges(), prefix_map)
         assert len(popmap.pops) == 2
         assert popmap.pops[0].core_members == {"10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4"}
         assert popmap.pops[1].core_members == {"10.0.1.1", "10.0.1.2", "10.0.1.3", "10.0.1.4"}
@@ -180,14 +183,12 @@ class TestExtractPops:
         # three parents .1/.3/.5 and two children .2/.4 in a zigzag, every
         # edge exactly at the threshold: a count-weighted mean of the four
         # edges rounds to 0.10000000000000002, which must not split the chain
-        edges = _strip_as(
-            [
-                edge("10.0.0.1", "10.0.0.2", 0.1, count=3),
-                edge("10.0.0.3", "10.0.0.2", 0.1, count=3),
-                edge("10.0.0.3", "10.0.0.4", 0.1, count=3),
-                edge("10.0.0.5", "10.0.0.4", 0.1, count=3),
-            ]
-        )
+        edges = [
+            edge("10.0.0.1", "10.0.0.2", 0.1, count=3),
+            edge("10.0.0.3", "10.0.0.2", 0.1, count=3),
+            edge("10.0.0.3", "10.0.0.4", 0.1, count=3),
+            edge("10.0.0.5", "10.0.0.4", 0.1, count=3),
+        ]
         cfg = ExtractionConfig(pop_max_delay_ms=0.1, pop_min_measurements=1)
         popmap = extract_pops(edges, load_ip2as(TWO_POP_IP2AS), cfg)
         assert [p.core_members for p in popmap.pops] == [{f"10.0.0.{i}" for i in range(1, 6)}]
@@ -197,7 +198,7 @@ class TestExtractPops:
         assert popmap.pops == ()
 
     def test_pendant_only_in_singleton_map(self):
-        edges = _strip_as(_two_pop_edges())
+        edges = _two_pop_edges()
         edges.append(edges[0].__class__("10.0.0.3", "10.0.0.9", 1.0, 2))
         prefix_map = load_ip2as(TWO_POP_IP2AS)
         core = extract_pops(edges, prefix_map, with_singletons=False)
@@ -210,13 +211,13 @@ class TestExtractPops:
     def test_single_interface_candidates_dropped(self):
         # one well-measured edge pair, plus an isolated 2-node component whose
         # edge fails the count filter: no PoP may have a single member
-        edges = _strip_as([edge("10.0.0.1", "10.0.0.2", 1.0), edge("10.0.2.1", "10.0.2.2", 1.0, count=1)])
+        edges = [edge("10.0.0.1", "10.0.0.2", 1.0), edge("10.0.2.1", "10.0.2.2", 1.0, count=1)]
         popmap = extract_pops(edges, load_ip2as(TWO_POP_IP2AS))
         assert len(popmap.pops) == 1
         assert all(len(p.core_members) >= 2 for p in popmap.pops)
 
     def test_permutation_determinism(self):
-        edges = _strip_as(_two_pop_edges())
+        edges = _two_pop_edges()
         prefix_map = load_ip2as(TWO_POP_IP2AS)
         expected = extract_pops(edges, prefix_map)
         rnd = random.Random(11)
@@ -235,7 +236,7 @@ class TestExtractPops:
     def test_core_members_touch_filtered_graph(self, small_scenario):
         prefix_map = load_ip2as(ip2as_lines(small_scenario))
         edges = aggregate_edges(list(small_scenario.observations))
-        graph = filter_graph(annotate_as(edges, prefix_map), DEFAULT)
+        graph = filter_graph(edges, prefix_map, DEFAULT)
         incident = {e.src for e in graph} | {e.dst for e in graph}
         popmap = extract_pops(edges, prefix_map)
         for pop in popmap.pops:
@@ -246,13 +247,12 @@ class TestExtractPops:
 
         prefix_map = load_ip2as(ip2as_lines(small_scenario))
         edges = aggregate_edges(list(small_scenario.observations))
-        annotated = annotate_as(edges, prefix_map)
         full = extract_pops(edges, prefix_map, with_singletons=True)
         for pop in full.pops:
             for ip in pop.singleton_members:
                 delays = [
                     e.median_delay_ms
-                    for e in annotated
+                    for e in edges
                     if (e.src == ip and e.dst in pop.core_members)
                     or (e.dst == ip and e.src in pop.core_members)
                 ]
@@ -262,15 +262,9 @@ class TestExtractPops:
     def test_attach_rejects_extended_map(self, small_scenario):
         prefix_map = load_ip2as(ip2as_lines(small_scenario))
         edges = aggregate_edges(list(small_scenario.observations))
-        annotated = annotate_as(edges, prefix_map)
         full = extract_pops(edges, prefix_map, with_singletons=True)
         with pytest.raises(ValueError):
-            attach_singletons(full, annotated, DEFAULT)
-
-
-def _strip_as(edges):
-    """Drop pre-set AS labels so extract_pops re-annotates from the prefix map."""
-    return [e.__class__(e.src, e.dst, e.median_delay_ms, e.count) for e in edges]
+            attach_singletons(full, edges, prefix_map, DEFAULT)
 
 
 def _dedupe_pairs(edges):
@@ -302,10 +296,9 @@ class TestExtractionOnRandomGraphs:
 
     @given(_random_edges)
     def test_output_invariants(self, edges):
-        stripped = _strip_as(edges)
         pmap = load_ip2as(_RANDOM_GRAPH_IP2AS)
-        popmap = extract_pops(stripped, pmap, DEFAULT)
-        graph = filter_graph(annotate_as(stripped, pmap), DEFAULT)
+        popmap = extract_pops(edges, pmap, DEFAULT)
+        graph = filter_graph(edges, pmap, DEFAULT)
         incident = {e.src for e in graph} | {e.dst for e in graph}
         seen = set()
         for pop in popmap.pops:
@@ -318,20 +311,17 @@ class TestExtractionOnRandomGraphs:
 
     @given(_random_edges)
     def test_pops_are_filtered_components(self, edges):
-        stripped = _strip_as(edges)
         pmap = load_ip2as(_RANDOM_GRAPH_IP2AS)
-        annotated = annotate_as(stripped, pmap)
         for threshold in (1, 3, 5, 9):
             cfg = ExtractionConfig(pop_max_delay_ms=threshold)
-            popmap = extract_pops(stripped, pmap, cfg)
-            assert [p.core_members for p in popmap.pops] == connected_components(filter_graph(annotated, cfg))
+            popmap = extract_pops(edges, pmap, cfg)
+            assert [p.core_members for p in popmap.pops] == connected_components(filter_graph(edges, pmap, cfg))
 
     @given(_random_edges, st.randoms())
     def test_permutation_invariance(self, edges, rnd):
-        stripped = _strip_as(edges)
         pmap = load_ip2as(_RANDOM_GRAPH_IP2AS)
-        expected = extract_pops(stripped, pmap, DEFAULT, with_singletons=True)
-        shuffled = list(stripped)
+        expected = extract_pops(edges, pmap, DEFAULT, with_singletons=True)
+        shuffled = list(edges)
         rnd.shuffle(shuffled)
         assert extract_pops(shuffled, pmap, DEFAULT, with_singletons=True) == expected
 
@@ -354,8 +344,8 @@ class TestFilterMonotone:
     def test_raising_threshold_never_drops_edges(self, edges, t1, delta):
         lo = ExtractionConfig(pop_max_delay_ms=t1)
         hi = ExtractionConfig(pop_max_delay_ms=t1 + delta)
-        kept_lo = filter_graph(edges, lo)
-        kept_hi = filter_graph(edges, hi)
+        kept_lo = filter_graph(edges, ONE_AS, lo)
+        kept_hi = filter_graph(edges, ONE_AS, hi)
         assert set((e.src, e.dst) for e in kept_lo) <= set((e.src, e.dst) for e in kept_hi)
 
 

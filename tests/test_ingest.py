@@ -1,3 +1,5 @@
+import ipaddress
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,7 +9,6 @@ from popgeo.ingest import (
     DelayObservation,
     ParseError,
     aggregate_edges,
-    annotate_as,
     load_ip2as,
     parse_observations,
 )
@@ -130,6 +131,10 @@ class TestAggregateProperties:
             assert e.median_delay_ms == expected
 
 
+# addresses in 10.0.0.0/22, so prefixes of length 8 to 22 always overlap and longer ones often do
+_CLUSTERED_ADDRESSES = st.integers(0, 0x3FF).map(lambda low: 0x0A000000 | low)
+
+
 class TestPrefixMap:
     def test_basic_lookup(self):
         pm = load_ip2as(["10.0.0.0/8,7018"])
@@ -156,23 +161,27 @@ class TestPrefixMap:
         with pytest.raises(ParseError):
             load_ip2as(["bad,1"], max_errors=0)
 
+    @given(
+        st.lists(st.tuples(_CLUSTERED_ADDRESSES, st.integers(8, 32), st.integers(1, 4)), max_size=12),
+        st.lists(st.one_of(_CLUSTERED_ADDRESSES, st.integers(0, 2**32 - 1)), max_size=12),
+    )
+    def test_lookup_matches_brute_force_scan(self, table, queries):
+        nets = [(ipaddress.IPv4Network((addr, plen), strict=False), asn) for addr, plen, asn in table]
+        pm = load_ip2as([f"{net},{asn}" for net, asn in nets])
+        # each prefix's own address and its neighbour, which a longer prefix may put in another AS
+        near = [a for addr, _, _ in table for a in (addr, addr ^ 1)]
+        ips = [str(ipaddress.IPv4Address(a)) for a in queries + near]
 
-class TestAnnotate:
-    def test_annotation(self):
-        pm = load_ip2as(["10.0.0.0/8,100", "11.0.0.0/8,200"])
-        obs = [
-            DelayObservation("10.0.0.1", "10.0.0.2", 1),
-            DelayObservation("10.0.0.1", "11.0.0.1", 1),
-            DelayObservation("10.0.0.1", "192.0.2.9", 1),
-        ]
-        edges = annotate_as(aggregate_edges(obs), pm)
-        by_pair = {(e.src, e.dst): e for e in edges}
-        same = by_pair[("10.0.0.1", "10.0.0.2")]
-        assert (same.as_src, same.as_dst) == (100, 100)
-        cross = by_pair[("10.0.0.1", "11.0.0.1")]
-        assert (cross.as_src, cross.as_dst) == (100, 200)
-        unknown = by_pair[("10.0.0.1", "192.0.2.9")]
-        assert (unknown.as_src, unknown.as_dst) == (100, None)
+        def longest_match(ip):
+            best_len, best_asn = -1, None
+            for net, asn in nets:  # the last of equal prefixes wins
+                if ipaddress.IPv4Address(ip) in net and net.prefixlen >= best_len:
+                    best_len, best_asn = net.prefixlen, asn
+            return best_asn
+
+        expected = [longest_match(ip) for ip in ips]
+        assert [pm.lookup(ip) for ip in ips] == expected
+        assert [pm.lookup(ip) for ip in ips] == expected  # repeated calls are answered from the memo
 
 
 # every input format: (loader, name in its messages, a good line, a line with "1,5" quoted where a
