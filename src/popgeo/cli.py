@@ -266,6 +266,10 @@ def build_run_config(args) -> RunConfig:
         )
         if not 0.0 < cfg.anomaly_rounding_deg < math.inf:
             raise ValueError(f"anomaly_rounding_deg must be positive and finite, got {cfg.anomaly_rounding_deg}")
+        if not 0.0 < cfg.anomaly_share_threshold <= 1.0:
+            raise ValueError(f"anomaly_share_threshold must be in (0, 1], got {cfg.anomaly_share_threshold}")
+        if not 0.0 <= cfg.churn_epsilon_km < math.inf:
+            raise ValueError(f"churn_epsilon_km must be finite and non-negative, got {cfg.churn_epsilon_km}")
     except ValueError as exc:
         raise InputError(f"bad config value: {exc}") from exc
     return cfg

@@ -12,6 +12,7 @@ afterwards as singleton members of the nearest PoP.
 from __future__ import annotations
 
 import json
+import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -36,14 +37,14 @@ class ExtractionConfig:
     singleton_max_median_ms: Optional[float] = None
 
     def __post_init__(self):
-        if self.pop_max_delay_ms <= 0:
-            raise ValueError("pop_max_delay_ms must be positive")
+        if not 0 < self.pop_max_delay_ms < math.inf:
+            raise ValueError(f"pop_max_delay_ms must be positive and finite, got {self.pop_max_delay_ms}")
         if self.pop_min_measurements < 1:
             raise ValueError("pop_min_measurements must be >= 1")
         if self.singleton_max_links < 0:
             raise ValueError("singleton_max_links must be >= 0")
-        if self.singleton_max_median_ms is not None and self.singleton_max_median_ms <= 0:
-            raise ValueError("singleton_max_median_ms must be positive")
+        if self.singleton_max_median_ms is not None and not 0 < self.singleton_max_median_ms < math.inf:
+            raise ValueError(f"singleton_max_median_ms must be positive and finite, got {self.singleton_max_median_ms}")
 
     @property
     def singleton_median_ms(self) -> float:
@@ -103,21 +104,28 @@ class PopMap:
 
 
 class _DisjointSets:
-    def __init__(self, items):
-        self._parent = {x: x for x in items}
+    """Union-find over the items it has been handed; len() counts them."""
+
+    def __init__(self):
+        self._parent = {}
+
+    def __len__(self) -> int:
+        return len(self._parent)
 
     def find(self, x):
-        root = x
+        root = self._parent.setdefault(x, x)
         while self._parent[root] != root:
             root = self._parent[root]
         while self._parent[x] != root:
             self._parent[x], x = root, self._parent[x]
         return root
 
-    def union(self, a, b):
+    def union(self, a, b) -> bool:
+        """Join the sets of a and b; False when they were one set already."""
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self._parent[rb] = ra
+        return ra != rb
 
     def classes(self) -> dict:
         groups = defaultdict(list)
@@ -126,25 +134,25 @@ class _DisjointSets:
         return groups
 
 
+def _joins_one_as(e: DelayEdge, prefix_map: PrefixMap) -> bool:
+    """e links two distinct interfaces of one AS known to prefix_map."""
+    return e.src != e.dst and (asn := prefix_map.lookup(e.src)) is not None and asn == prefix_map.lookup(e.dst)
+
+
 def filter_graph(edges: Sequence[DelayEdge], prefix_map: PrefixMap, cfg: ExtractionConfig) -> list[DelayEdge]:
-    """Keep well-measured, short edges within one AS known to prefix_map: the graph PoPs are built on."""
+    """Keep well-measured, short edges joining two interfaces of one AS: the graph PoPs are built on."""
     return [
         e
         for e in edges
         if e.median_delay_ms <= cfg.pop_max_delay_ms
         and e.count >= cfg.pop_min_measurements
-        and (asn := prefix_map.lookup(e.src)) is not None
-        and asn == prefix_map.lookup(e.dst)
+        and _joins_one_as(e, prefix_map)
     ]
 
 
 def connected_components(edges: Sequence[DelayEdge]) -> list[set[str]]:
     """Undirected connected components of the filtered graph, ordered by lowest member."""
-    nodes: set[str] = set()
-    for e in edges:
-        nodes.add(e.src)
-        nodes.add(e.dst)
-    dsu = _DisjointSets(nodes)
+    dsu = _DisjointSets()
     for e in edges:
         dsu.union(e.src, e.dst)
     comps = [set(members) for members in dsu.classes().values()]
@@ -205,21 +213,6 @@ def attach_singletons(
     return PopMap(pops)
 
 
-def _component_pops(graph: Sequence[DelayEdge], prefix_map: PrefixMap) -> PopMap:
-    """One PoP per connected component of a filtered graph.
-
-    Only a self-loop edge yields a one-interface component; it is dropped,
-    because a PoP needs at least two co-located interfaces to be credible.
-    """
-    pops = []
-    for members in connected_components(graph):
-        if len(members) < 2:
-            continue
-        pop_id = min(members, key=ip_to_int)
-        pops.append(PoP(pop_id, prefix_map.lookup(pop_id), frozenset(members)))
-    return PopMap(tuple(pops))
-
-
 def extract_pops(
     edges: Sequence[DelayEdge],
     prefix_map: PrefixMap,
@@ -231,7 +224,11 @@ def extract_pops(
     Filters the graph and returns one PoP per connected component, ordered
     by id; with_singletons also attaches low-degree leftover interfaces.
     """
-    popmap = _component_pops(filter_graph(edges, prefix_map, cfg), prefix_map)
+    pops = []
+    for members in connected_components(filter_graph(edges, prefix_map, cfg)):
+        pop_id = min(members, key=ip_to_int)
+        pops.append(PoP(pop_id, prefix_map.lookup(pop_id), frozenset(members)))
+    popmap = PopMap(tuple(pops))
     if with_singletons:
         popmap = attach_singletons(popmap, edges, prefix_map, cfg)
     return popmap
@@ -243,20 +240,30 @@ def threshold_sweep(
     cfg: ExtractionConfig,
     delay_grid: Sequence[float],
 ) -> list[tuple[float, int, int]]:
-    """Re-run extraction for each delay threshold in an ascending grid.
+    """The core PoP count and size extraction gives at each threshold of an ascending grid.
 
     Returns (threshold_ms, pop_count, ip_count) rows; every other config
-    field is held fixed.
+    field is held fixed. The edges that pass the count and same-AS tests are
+    joined in ascending delay order, and at each threshold the interfaces
+    touched so far form (interfaces - successful joins) components, one PoP
+    each.
     """
     if not delay_grid:
         raise ValueError("empty delay grid")
-    if any(b <= a for a, b in zip(delay_grid, delay_grid[1:])):
-        raise ValueError("delay grid must be strictly ascending")
+    if not all(0 < a < b for a, b in zip(delay_grid, [*delay_grid[1:], math.inf])):
+        raise ValueError(f"delay grid must be positive, finite and strictly ascending, got {list(delay_grid)}")
+    kept = sorted(
+        (e for e in edges if e.count >= cfg.pop_min_measurements and _joins_one_as(e, prefix_map)),
+        key=lambda e: e.median_delay_ms,
+    )
+    dsu = _DisjointSets()
     rows = []
+    joins = i = 0
     for threshold in delay_grid:
-        graph = filter_graph(edges, prefix_map, replace(cfg, pop_max_delay_ms=threshold))
-        popmap = _component_pops(graph, prefix_map)
-        rows.append((threshold, len(popmap.pops), popmap.core_ip_count()))
+        while i < len(kept) and kept[i].median_delay_ms <= threshold:
+            joins += dsu.union(kept[i].src, kept[i].dst)
+            i += 1
+        rows.append((threshold, len(dsu) - joins, len(dsu)))
     return rows
 
 

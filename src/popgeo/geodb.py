@@ -5,10 +5,14 @@ lat,lon`) and per-IP point databases (`ip,lat,lon`). A miss or a record
 without usable coordinates is a null reply, which is a value here, not an
 error: "country known, coordinates unknown" stays representable.
 
+Range rows stay in file order, and one pass over them resolves a sorted
+address list: each row overwrites the answers of the addresses it covers, so
+later lines win without an interval index.
+
 Readers take a PoP's answers through `answers(pop)`: all of
 `pop.members()` in numeric address order, each with a coordinate or None. A
-GeoDatabase queries for them; an AnswerTable holds them, built with one
-query per (database, address), and answers the same way without querying.
+GeoDatabase resolves them; an AnswerTable holds them, built with one resolve
+per database over every member of a PoP map, and answers without resolving.
 
 synth_db builds a point database from a planted PoP map, with controllable
 positional noise, null probability and a headquarters-style pin of a fraction
@@ -19,10 +23,10 @@ evaluation metrics checkable without proprietary data.
 import math
 import random
 import zlib
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .geo import GeoCoord, destination_point
 from .ingest import read_records
@@ -49,8 +53,11 @@ Answer = tuple[str, Optional[GeoCoord]]
 class GeoDatabase:
     """Immutable IP -> GeoRecord source; kind is "range" or "point".
 
-    Range entries are closed intervals [start_ip, end_ip], disjoint after
-    normalization. Queries are pure functions of (database, ip).
+    Range entries are closed intervals [start_ip, end_ip] kept in file
+    order; where they overlap, the later entry answers. resolve answers a
+    sorted address list in one pass over the entries, so a range query
+    costs O(entries): no path of the pipeline queries one address at a
+    time, and answer_table resolves every member of a map at once.
     """
 
     def __init__(self, name: str, kind: str, *, ranges=None, points=None):
@@ -58,29 +65,29 @@ class GeoDatabase:
             raise ValueError(f"unknown database kind {kind!r}")
         self.name = name
         self.kind = kind
-        if kind == "range":
-            normalized = _normalize_ranges(ranges or [])
-            self._starts = [r[0] for r in normalized]
-            self._ends = [r[1] for r in normalized]
-            self._records = [r[2] for r in normalized]
-            self._points = None
-        else:
-            self._points = dict(points or {})
-            self._starts = self._ends = self._records = None
+        self._ranges = list(ranges or []) if kind == "range" else None
+        self._points = dict(points or {}) if kind == "point" else None
+
+    def resolve(self, values: Sequence[int]) -> list[GeoRecord]:
+        """The record of each address int of ascending values, NULL_RECORD on a miss."""
+        if self.kind == "point":
+            return [self._points.get(v, NULL_RECORD) for v in values]
+        records = [NULL_RECORD] * len(values)
+        for start, end, rec in self._ranges:  # file order: later entries overwrite
+            lo = bisect_left(values, start)
+            hi = bisect_right(values, end, lo)
+            if lo < hi:
+                records[lo:hi] = [rec] * (hi - lo)
+        return records
 
     def query(self, ip: str) -> GeoRecord:
-        value = ip_to_int(ip)
-        if self.kind == "point":
-            return self._points.get(value, NULL_RECORD)
-        i = bisect_right(self._starts, value) - 1
-        if i >= 0 and value <= self._ends[i]:
-            return self._records[i]
-        return NULL_RECORD
+        return self.resolve([ip_to_int(ip)])[0]
 
     def answers(self, pop) -> tuple[Answer, ...]:
         """pop.members() in numeric address order, each with its coordinate or None."""
         members = sorted(pop.members(), key=ip_to_int)
-        return tuple((ip, self.query(ip).coord) for ip in members)
+        records = self.resolve([ip_to_int(ip) for ip in members])
+        return tuple((ip, rec.coord) for ip, rec in zip(members, records))
 
     def point_entries(self) -> list[tuple[str, GeoRecord]]:
         """Point-kind entries sorted by address, for serialization."""
@@ -90,7 +97,7 @@ class GeoDatabase:
 
 
 class AnswerTable:
-    """One database's answers for every member of a PoP map, queried once.
+    """One database's answers for every member of a PoP map, resolved once.
 
     rows maps each PoP id to its core answers and to all its answers, both
     as GeoDatabase.answers returns them. Built over the singleton map, the
@@ -112,10 +119,12 @@ class AnswerTable:
 
 
 def answer_table(db: GeoDatabase, popmap) -> AnswerTable:
-    """db's answers for every member of popmap, one query per address."""
+    """db's answers for every member of popmap, from one resolve over all of them."""
+    ips = popmap.member_ips()
+    coord_of = {ip: rec.coord for ip, rec in zip(ips, db.resolve([ip_to_int(ip) for ip in ips]))}
     rows = {}
     for pop in popmap.pops:
-        full = db.answers(pop)
+        full = tuple((ip, coord_of[ip]) for ip in sorted(pop.members(), key=ip_to_int))
         core = tuple(a for a in full if a[0] in pop.core_members) if pop.singleton_members else full
         rows[pop.id] = (core, full)
     return AnswerTable(db.name, rows)
@@ -123,35 +132,6 @@ def answer_table(db: GeoDatabase, popmap) -> AnswerTable:
 
 # what every reader of answers accepts
 AnswerSource = Union[GeoDatabase, AnswerTable]
-
-
-def _normalize_ranges(entries):
-    """Resolve overlaps so later entries win, returning disjoint sorted ranges."""
-    starts: list[int] = []
-    rows: list[tuple[int, int, GeoRecord]] = []
-
-    def _insert(start, end, rec):
-        i = bisect_right(starts, start)
-        if i > 0 and rows[i - 1][1] >= start:
-            i -= 1
-        # trim or split every existing range the newcomer touches
-        while i < len(rows) and rows[i][0] <= end:
-            a, b, old = rows[i]
-            del rows[i]
-            del starts[i]
-            if a < start:
-                rows.insert(i, (a, start - 1, old))
-                starts.insert(i, a)
-                i += 1
-            if b > end:
-                rows.insert(i, (end + 1, b, old))
-                starts.insert(i, end + 1)
-        rows.insert(i, (start, end, rec))
-        starts.insert(i, start)
-
-    for start, end, rec in entries:
-        _insert(start, end, rec)
-    return rows
 
 
 def _parse_coord_fields(lat_text: str, lon_text: str, null_coords) -> Optional[GeoCoord]:

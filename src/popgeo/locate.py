@@ -50,8 +50,8 @@ class VoteConfig:
     majority_fraction: float = 0.5
 
     def __post_init__(self):
-        if not 0 < self.step_km <= self.max_radius_km:
-            raise ValueError("need 0 < step_km <= max_radius_km")
+        if not 0 < self.step_km <= self.max_radius_km < math.inf:
+            raise ValueError("need 0 < step_km <= max_radius_km < inf")
         if not 0 < self.majority_fraction <= 1:
             raise ValueError("majority_fraction outside (0, 1]")
 

@@ -13,6 +13,7 @@ import popgeo.locate
 from popgeo.cli import main
 from popgeo.geodb import GeoDatabase
 from popgeo.extract import load_popmap
+from popgeo.iputil import ip_to_int
 from popgeo.locate import load_locations
 
 
@@ -194,17 +195,18 @@ class TestQueryCount:
         run(cfg, "synth")
         run(cfg, "extract")
         members = load_popmap(tmp / "popmap_singletons.json").member_ips()
-        calls = Counter()
-        real = GeoDatabase.query
+        calls = []
+        real = GeoDatabase.resolve
 
-        def counting(self, ip):
-            calls[(self, ip)] += 1
-            return real(self, ip)
+        def counting(self, values):
+            calls.append((self.name, list(values)))
+            return real(self, values)
 
-        monkeypatch.setattr(GeoDatabase, "query", counting)
+        monkeypatch.setattr(GeoDatabase, "resolve", counting)
         assert run(cfg, "evaluate") == 0  # [churn] reads two of the three files again
-        assert max(calls.values()) == 1
-        assert len(calls) == 3 * len(members)  # three files, singleton map
+        # one resolve per file (three files), each over every member of the singleton map
+        assert sorted(name for name, _ in calls) == ["clean", "noisy", "pinner"]
+        assert all(values == [ip_to_int(ip) for ip in members] for _, values in calls)
 
     def test_one_load_per_database_file(self, workdir, monkeypatch):
         tmp, cfg = workdir
@@ -310,6 +312,13 @@ class TestErrors:
             (None, ["evaluate.agreement_radii_km=100,-5"]),
             (None, ["evaluate.agreement_radii_km=nan"]),
             (None, ["evaluate.agreement_radii_km=100,100"]),
+            (None, ["evaluate.anomaly_share_threshold=nan"]),
+            (None, ["evaluate.anomaly_share_threshold=-1"]),
+            (None, ["evaluate.anomaly_share_threshold=1.5"]),
+            (None, ["evaluate.churn_epsilon_km=nan"]),
+            (None, ["evaluate.churn_epsilon_km=-1"]),
+            (None, ["extract.pop_max_delay_ms=nan"]),
+            (None, ["vote.max_radius_km=inf"]),
         ],
         ids=[
             "unknown_region",
@@ -321,6 +330,13 @@ class TestErrors:
             "negative_radius",
             "nan_radius",
             "duplicate_radius",
+            "nan_share",
+            "negative_share",
+            "share_above_one",
+            "nan_churn_epsilon",
+            "negative_churn_epsilon",
+            "nan_pop_delay",
+            "infinite_vote_radius",
         ],
     )
     def test_failed_evaluate_writes_nothing(self, workdir, regions_line, settings):
@@ -332,6 +348,30 @@ class TestErrors:
         before = read_tree(tmp)
         extra = [arg for item in settings for arg in ("--set", item)]
         assert run(cfg, "evaluate", "--out", str(tmp), *extra) == 1
+        assert read_tree(tmp) == before
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "extract.pop_max_delay_ms=nan",
+            "extract.pop_max_delay_ms=inf",
+            "extract.singleton_max_median_ms=nan",
+            "extract.singleton_max_median_ms=inf",
+        ],
+    )
+    def test_failed_extract_writes_nothing(self, workdir, setting):
+        tmp, cfg = workdir
+        run(cfg, "synth")
+        before = read_tree(tmp)
+        assert run(cfg, "extract", "--set", setting) == 1
+        assert read_tree(tmp) == before
+
+    @pytest.mark.parametrize("grid", ["1,nan,5", "nan", "1,5,inf"])
+    def test_failed_sweep_writes_nothing(self, workdir, grid):
+        tmp, cfg = workdir
+        run(cfg, "synth")
+        before = read_tree(tmp)
+        assert run(cfg, "sweep", "--grid", grid) == 1
         assert read_tree(tmp) == before
 
     def test_empty_radii_take_the_default(self, workdir):

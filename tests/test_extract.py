@@ -1,4 +1,6 @@
+import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -39,7 +41,12 @@ class TestConfig:
         [
             {"pop_max_delay_ms": 0},
             {"pop_max_delay_ms": -1},
+            {"pop_max_delay_ms": math.nan},
+            {"pop_max_delay_ms": math.inf},
             {"pop_min_measurements": 0},
+            {"singleton_max_median_ms": 0},
+            {"singleton_max_median_ms": math.nan},
+            {"singleton_max_median_ms": math.inf},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -290,6 +297,19 @@ _random_edges = st.lists(
 
 _RANDOM_GRAPH_IP2AS = ["10.0.0.0/23,1", "10.0.1.0/24,2"]
 
+# delays on a half-millisecond grid, so that edges tie with each other and with thresholds;
+# self-loops stay in, because the sweep must drop them as extraction does
+_half_ms_edges = st.lists(
+    st.builds(
+        lambda s, d, k, c: edge(f"10.0.{s // 8}.{s % 8 + 1}", f"10.0.{d // 8}.{d % 8 + 1}", k / 2, count=c),
+        st.integers(0, 19),
+        st.integers(0, 19),
+        st.integers(0, 24),
+        st.integers(1, 10),
+    ),
+    max_size=40,
+).map(lambda edges: list({(e.src, e.dst): e for e in edges}.values()))
+
 
 class TestExtractionOnRandomGraphs:
     """Structural invariants must hold on arbitrary graphs, not only planted ones."""
@@ -387,6 +407,28 @@ class TestThresholdSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             threshold_sweep([], load_ip2as([]), DEFAULT, [])
+
+    def test_self_loop_makes_no_pop(self):
+        edges = [edge("10.0.0.1", "10.0.0.1", 1.0), edge("10.0.0.2", "10.0.0.3", 9.0)]
+        assert extract_pops(edges, ONE_AS, DEFAULT) == PopMap(())
+        assert threshold_sweep(edges, ONE_AS, DEFAULT, [5, 10]) == [(5, 0, 0), (10, 1, 2)]
+
+    @pytest.mark.parametrize("grid", [[0], [-1, 1], [1, math.nan, 5], [math.nan], [1, math.inf]])
+    def test_non_positive_or_non_finite_threshold_rejected(self, grid):
+        with pytest.raises(ValueError):
+            threshold_sweep([edge("10.0.0.1", "10.0.0.2", 1.0)], ONE_AS, DEFAULT, grid)
+
+    @given(_half_ms_edges, st.lists(st.floats(min_value=0.1, max_value=13), max_size=4), st.integers(1, 8))
+    def test_matches_extract_at_every_threshold(self, edges, extra, min_count):
+        pmap = load_ip2as(_RANDOM_GRAPH_IP2AS)
+        cfg = ExtractionConfig(pop_min_measurements=min_count)
+        # every positive edge delay is a threshold, so edges sitting exactly on one are tested
+        grid = sorted({e.median_delay_ms for e in edges if e.median_delay_ms > 0} | set(extra)) or [5.0]
+        expected = []
+        for threshold in grid:
+            popmap = extract_pops(edges, pmap, replace(cfg, pop_max_delay_ms=threshold))
+            expected.append((threshold, len(popmap.pops), popmap.core_ip_count()))
+        assert threshold_sweep(edges, pmap, cfg, grid) == expected
 
 
 class TestPopMapSerialization:
