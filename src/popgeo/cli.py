@@ -16,6 +16,7 @@ import configparser
 import json
 import logging
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +32,7 @@ from .extract import (
     threshold_sweep,
 )
 from .geodb import AnswerTable, answer_table, load_null_coords, load_point_db, load_range_db
-from .ingest import DelayEdge, ParseError, PrefixMap, aggregate_edges, load_ip2as, parse_observations
+from .ingest import DelayEdge, ParseError, PrefixMap, aggregate_edges, load_ip2as, parse_observations, write_records
 from .locate import PoPLocation, VoteConfig, locate_popmap, save_locations
 from .synth import SynthDbSpec, SynthSpec, generate_scenario, write_scenario
 
@@ -174,6 +175,10 @@ def _build_synth_spec(cp) -> Optional[SynthSpec]:
     return SynthSpec(**spec)
 
 
+# the names that become output file names and CSV cells: [databases] names,
+# [churn] labels and the regions of evaluate.regions; so no cell holds a comma
+NAME_RULE = re.compile(r"[A-Za-z0-9_.-]+")
+
 # dedicated flag (argparse dest) -> the config key it sets, as a --set item would
 DEDICATED_FLAGS = {
     "step_km": "vote.step_km",
@@ -272,6 +277,10 @@ def build_run_config(args) -> RunConfig:
             raise ValueError(f"churn_epsilon_km must be finite and non-negative, got {cfg.churn_epsilon_km}")
     except ValueError as exc:
         raise InputError(f"bad config value: {exc}") from exc
+    names = [d.name for d in db_specs] + [label for label, _, _ in churn_pairs] + cfg.region_names
+    bad = [name for name in names if not NAME_RULE.fullmatch(name)]
+    if bad:
+        raise InputError(f"database, churn and region names must match {NAME_RULE.pattern}, got {bad}")
     return cfg
 
 
@@ -311,19 +320,13 @@ def _table_loader(cfg: RunConfig, popmap: PopMap) -> Callable[[DbSpec], AnswerTa
     return table
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_cdf_csv(path: Path, header: str, series: ev.CdfSeries) -> None:
-    """Write series after checking it (CdfSeries.validate); a bad series is an InvariantError."""
+def _write_cdf_csv(path: Path, x_name: str, series: ev.CdfSeries) -> None:
+    """Write series as `<x_name>,cum_fraction` rows after checking it; a bad series is an InvariantError."""
     try:
         series.validate()
     except ValueError as exc:
         raise InvariantError(f"{path.name}: {exc}") from exc
-    lines = [header]
-    lines += [f"{x!r},{frac!r}" for x, frac in series.points]
-    _write_lines(path, lines)
+    write_records(path, [(x_name, "cum_fraction"), *series.points])
 
 
 def _read_graph(cfg: RunConfig) -> tuple[list[DelayEdge], PrefixMap]:
@@ -424,23 +427,19 @@ def _per_db_reports(
     for db in dbs:
         own = votes[db.name]
         conv = ev.convergence_cdf(db.name, [own[pop.id] for pop in popmap.pops])
-        _write_cdf_csv(out / f"convergence_{db.name}{suffix}.csv", "range_km,cum_fraction", conv)
+        _write_cdf_csv(out / f"convergence_{db.name}{suffix}.csv", "range_km", conv)
         counters["convergence_tail"][db.name] = conv.tail_count
         per_pop = [agreements[db.name][pop.id] for pop in popmap.pops]
         cdfs = ev.agreement_cdf(db.name, cfg.agreement_radii, per_pop)
         for radius, series in zip(cfg.agreement_radii, cdfs):
-            _write_cdf_csv(
-                out / f"agreement_{db.name}_{radius:g}{suffix}.csv", "agreement,cum_fraction", series
-            )
+            _write_cdf_csv(out / f"agreement_{db.name}_{radius:g}{suffix}.csv", "agreement", series)
             counters["agreement_excluded"][f"{db.name}:{radius:g}"] = series.excluded_count
         deviation = ev.deviation_samples(popmap, db, votes["all"], own)
-        _write_cdf_csv(out / f"deviation_{db.name}{suffix}.csv", "deviation_km,cum_fraction", deviation.cdf())
+        _write_cdf_csv(out / f"deviation_{db.name}{suffix}.csv", "deviation_km", deviation.cdf())
         counters["deviation_skipped"][db.name] = deviation.skipped_pops
-        scatter = [
-            f"{s.ip},{'' if s.range_km is None else repr(s.range_km)},{s.deviation_km!r}"
-            for s in deviation.samples
-        ]
-        _write_lines(out / f"range_vs_deviation_{db.name}{suffix}.csv", ["ip,range_km,deviation_km"] + scatter)
+        scatter = [("ip", "range_km", "deviation_km")]
+        scatter += [(s.ip, s.range_km, s.deviation_km) for s in deviation.samples]
+        write_records(out / f"range_vs_deviation_{db.name}{suffix}.csv", scatter)
     return counters
 
 
@@ -478,11 +477,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     matrix = None
     if len(dbs) >= 2 and popmap.pops:
         matrix = ev.correlation_matrix(dbs, popmap, include_nulls=cfg.correlation_include_nulls)
-        lines = ["db," + ",".join(matrix.db_names)]
-        for name, row in zip(matrix.db_names, matrix.values):
-            cells = ["" if v is None else repr(v) for v in row]
-            lines.append(f"{name}," + ",".join(cells))
-        _write_lines(out / "correlation.csv", lines)
+        rows = [(name, *row) for name, row in zip(matrix.db_names, matrix.values)]
+        write_records(out / "correlation.csv", [("db", *matrix.db_names), *rows])
         summary["correlation"] = {
             "db_names": list(matrix.db_names),
             "include_nulls": matrix.include_nulls,
@@ -499,35 +495,17 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             share_threshold=cfg.anomaly_share_threshold,
             rounding_deg=cfg.anomaly_rounding_deg,
         )
-    _write_lines(
-        out / "anomalies.csv",
-        ["db,asn,lat,lon,share,ip_count"]
-        + [
-            f"{a.db_name},{a.asn},{a.dominant_coord.lat!r},{a.dominant_coord.lon!r},{a.share!r},{a.ip_count}"
-            for a in anomalies
-        ],
-    )
-    summary["anomalies"] = [
-        {
-            "db": a.db_name,
-            "asn": a.asn,
-            "lat": a.dominant_coord.lat,
-            "lon": a.dominant_coord.lon,
-            "share": a.share,
-            "ip_count": a.ip_count,
-        }
-        for a in anomalies
-    ]
+    columns = ("db", "asn", "lat", "lon", "share", "ip_count")
+    rows = [(a.db_name, a.asn, a.dominant_coord.lat, a.dominant_coord.lon, a.share, a.ip_count) for a in anomalies]
+    write_records(out / "anomalies.csv", [columns, *rows])
+    summary["anomalies"] = [dict(zip(columns, row)) for row in rows]
 
     churn_rows = []
     for label, old_db, new_db in churn_pairs:
         fraction = ev.churn(old_db, new_db, popmap, cfg.churn_epsilon_km) if popmap.pops else 0.0
         churn_rows.append((label, fraction))
-    _write_lines(
-        out / "churn.csv",
-        ["label,changed_fraction"] + [f"{label},{frac!r}" for label, frac in churn_rows],
-    )
-    summary["churn"] = {label: frac for label, frac in churn_rows}
+    write_records(out / "churn.csv", [("label", "changed_fraction"), *churn_rows])
+    summary["churn"] = dict(churn_rows)
 
     if regions:
         summary["regions"] = {}
@@ -551,11 +529,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_lines(
-        cfg.out_dir / "sweep.csv",
-        ["threshold_ms,pop_count,ip_count"]
-        + [f"{t!r},{pops},{ips}" for t, pops, ips in rows],
-    )
+    write_records(cfg.out_dir / "sweep.csv", [("threshold_ms", "pop_count", "ip_count"), *rows])
     log.info("sweep over %d thresholds written", len(rows))
     return 0
 
@@ -591,7 +565,7 @@ def cmd_synth(cfg: RunConfig) -> int:
         f"max_radius_km = {cfg.vote.max_radius_km!r}",
         f"majority_fraction = {cfg.vote.majority_fraction!r}",
     ]
-    _write_lines(cfg.out_dir / "run.ini", lines)
+    (cfg.out_dir / "run.ini").write_text("\n".join(lines) + "\n", encoding="utf-8")
     log.info(
         "synthetic scenario with %d PoPs, %d observations, %d databases written to %s",
         cfg.synth.pop_count,

@@ -292,19 +292,21 @@ def _members(ips: list) -> frozenset[str]:
     return frozenset(ips)
 
 
+def _pop(row: dict) -> PoP:
+    """One PoP of a map file; its id must be its numerically lowest core member."""
+    pop = PoP(row["id"], int(row["asn"]), _members(row["core_members"]), _members(row.get("singleton_members", [])))
+    if pop.id != min(pop.core_members, key=ip_to_int):
+        raise ValueError(f"PoP id {pop.id!r} is not its lowest core member")
+    return pop
+
+
 def load_popmap(path) -> PopMap:
-    """Read a map written by save_popmap; a malformed file is a ParseError naming it."""
+    """Read a map written by save_popmap; a malformed file is a ParseError naming it.
+
+    Members are disjoint and each id is its PoP's lowest core member, so ids are unique.
+    """
     try:
         rows = json.loads(Path(path).read_text(encoding="utf-8"))
-        pops = tuple(
-            PoP(
-                row["id"],
-                int(row["asn"]),
-                _members(row["core_members"]),
-                _members(row.get("singleton_members", [])),
-            )
-            for row in rows
-        )
-        return PopMap(pops)
+        return PopMap(tuple(_pop(row) for row in rows))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed PoP map {path}: {exc!r}") from exc

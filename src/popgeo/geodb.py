@@ -25,11 +25,10 @@ import random
 import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .geo import GeoCoord, destination_point
-from .ingest import read_records
+from .ingest import read_records, write_records
 from .iputil import int_to_ip, ip_to_int, parse_ip
 
 
@@ -183,13 +182,12 @@ def load_null_coords(lines: Iterable[str]) -> set[tuple[float, float]]:
 
 
 def save_point_db(db: GeoDatabase, path) -> None:
-    lines = []
-    for ip, rec in db.point_entries():
-        if rec.coord is None:
-            lines.append(f"{ip},,")
-        else:
-            lines.append(f"{ip},{rec.coord.lat!r},{rec.coord.lon!r}")
-    Path(path).write_text("\n".join(lines) + "\n" if lines else "", encoding="utf-8")
+    """Write db as `ip,lat,lon` lines, lat and lon empty on a null record."""
+    rows = [
+        (ip, None, None) if rec.coord is None else (ip, rec.coord.lat, rec.coord.lon)
+        for ip, rec in db.point_entries()
+    ]
+    write_records(path, rows)
 
 
 def db_seed(base_seed: int, name: str) -> int:

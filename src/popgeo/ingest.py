@@ -4,7 +4,8 @@ Inputs are pre-decomposed one-hop delay observations (`src_ip,dst_ip,delay_ms`
 CSV) and an IP-to-AS prefix table (`prefix/len,asn` CSV). Observations are
 aggregated into directed edges carrying the exact median delay and the
 measurement count. read_records is the line reader of every input format,
-these two and the geodb and evaluate ones alike.
+these two and the geodb and evaluate ones alike; write_records is the line
+writer of every CSV output.
 """
 
 import csv
@@ -13,8 +14,9 @@ import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from pathlib import Path
 from statistics import median
-from typing import Callable, Iterable, Iterator, Optional, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .iputil import ip_to_int
 
@@ -97,6 +99,18 @@ def read_records(
             log.warning("%s line %d skipped: %s", what, lineno, exc)
             continue
         yield record
+
+
+def write_records(path, rows: Iterable[Sequence]) -> None:
+    """Write each row as one comma-joined line, headers included as rows.
+
+    A cell is written as is when it is a string, empty when it is None, and
+    as its repr otherwise, so read_records gives back every float bit for
+    bit. No string cell may hold a comma: the names that become cells obey
+    the config's name rule. A file with no rows is empty.
+    """
+    lines = [",".join([c if isinstance(c, str) else "" if c is None else repr(c) for c in row]) + "\n" for row in rows]
+    Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 def _observation(fields: list[str]) -> DelayObservation:

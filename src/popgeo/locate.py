@@ -27,6 +27,9 @@ from .geodb import AnswerSource
 # dropping the final step (555/1.11 lands just below 500)
 _GRID_EPS_KM = 1e-9
 
+# the longest radius schedule VoteConfig accepts (the default has 500)
+MAX_RADII = 100_000
+
 
 @dataclass(frozen=True)
 class IpElement:
@@ -42,7 +45,9 @@ class VoteConfig:
     """Radius schedule and majority rule for the location vote.
 
     Defaults step by 1.11 km (0.01 degree) up to 555 km (5 degrees); 111 and
-    500 km are the usual alternate caps.
+    500 km are the usual alternate caps. The schedule holds at most
+    MAX_RADII radii: at the 555 km cap that is a 5.55 m step, finer than any
+    database's coordinates.
     """
 
     step_km: float = 1.11
@@ -52,6 +57,8 @@ class VoteConfig:
     def __post_init__(self):
         if not 0 < self.step_km <= self.max_radius_km < math.inf:
             raise ValueError("need 0 < step_km <= max_radius_km < inf")
+        if self.max_radius_km / self.step_km > MAX_RADII:
+            raise ValueError(f"the radius schedule max_radius_km / step_km holds more than {MAX_RADII} radii")
         if not 0 < self.majority_fraction <= 1:
             raise ValueError("majority_fraction outside (0, 1]")
 

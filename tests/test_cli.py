@@ -13,6 +13,7 @@ import popgeo.locate
 from popgeo.cli import main
 from popgeo.geodb import GeoDatabase
 from popgeo.extract import load_popmap
+from popgeo.ingest import read_records
 from popgeo.iputil import ip_to_int
 from popgeo.locate import load_locations
 
@@ -273,6 +274,18 @@ def _truncated_json(text):
     return text[: len(text) // 2]
 
 
+def _duplicate_id(text):
+    rows = json.loads(text)
+    rows[1]["id"] = rows[0]["id"]
+    return json.dumps(rows)
+
+
+def _id_not_lowest(text):
+    rows = json.loads(text)
+    rows[0]["id"] = max(rows[0]["core_members"], key=ip_to_int)
+    return json.dumps(rows)
+
+
 class TestErrors:
     def test_missing_config(self, tmp_path):
         assert main(["extract", "--config", str(tmp_path / "nope.ini")]) == 1
@@ -319,6 +332,10 @@ class TestErrors:
             (None, ["evaluate.churn_epsilon_km=-1"]),
             (None, ["extract.pop_max_delay_ms=nan"]),
             (None, ["vote.max_radius_km=inf"]),
+            (None, ["databases.a/b=point:db_clean.csv"]),
+            (None, ["databases.x,y=point:db_clean.csv"]),
+            ("a/b,0,10,0,10", ["paths.regions=regions.csv", "evaluate.regions=a/b"]),
+            (None, ["churn.x,y=point:db_clean.csv,point:db_noisy.csv"]),
         ],
         ids=[
             "unknown_region",
@@ -337,6 +354,10 @@ class TestErrors:
             "negative_churn_epsilon",
             "nan_pop_delay",
             "infinite_vote_radius",
+            "slash_in_database_name",
+            "comma_in_database_name",
+            "slash_in_region_name",
+            "comma_in_churn_label",
         ],
     )
     def test_failed_evaluate_writes_nothing(self, workdir, regions_line, settings):
@@ -348,6 +369,23 @@ class TestErrors:
         before = read_tree(tmp)
         extra = [arg for item in settings for arg in ("--set", item)]
         assert run(cfg, "evaluate", "--out", str(tmp), *extra) == 1
+        assert read_tree(tmp) == before
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "databases.a/b=point:db_clean.csv",
+            "databases.x,y=point:db_clean.csv",
+            "databases.a b=point:db_clean.csv",
+        ],
+        ids=["slash_in_database_name", "comma_in_database_name", "space_in_database_name"],
+    )
+    def test_failed_locate_writes_nothing(self, workdir, setting):
+        tmp, cfg = workdir
+        run(cfg, "synth")
+        run(cfg, "extract")
+        before = read_tree(tmp)
+        assert run(cfg, "locate", "--set", setting) == 1
         assert read_tree(tmp) == before
 
     @pytest.mark.parametrize(
@@ -389,8 +427,8 @@ class TestErrors:
     @pytest.mark.parametrize("command", ["locate", "evaluate"])
     @pytest.mark.parametrize(
         "corrupt",
-        [_bad_member, _numeric_member, _missing_asn, _truncated_json],
-        ids=["bad_member", "numeric_member", "missing_asn", "truncated_json"],
+        [_bad_member, _numeric_member, _missing_asn, _truncated_json, _duplicate_id, _id_not_lowest],
+        ids=["bad_member", "numeric_member", "missing_asn", "truncated_json", "duplicate_id", "id_not_lowest"],
     )
     def test_malformed_popmap_is_input_error(self, workdir, corrupt, command):
         tmp, cfg = workdir
@@ -461,6 +499,25 @@ class TestErrors:
             assert run(cfg, "extract") == 0
         assert "no observations" in caplog.text
         assert json.loads((tmp / "popmap_core.json").read_text()) == []
+
+
+class TestCsvOutputs:
+    def test_every_csv_rereads_with_its_header_width(self, workdir):
+        tmp, cfg = workdir
+        run(cfg, "synth")
+        run(cfg, "extract")
+        before = set(read_tree(tmp))
+        # world holds every synthetic PoP, so the regional files have rows
+        assert run(cfg, "evaluate", "--set", "evaluate.regions=europe,usa,world") == 0
+        assert run(cfg, "sweep") == 0
+        written = sorted(name for name in set(read_tree(tmp)) - before if name.endswith(".csv"))
+        for name in ("correlation.csv", "anomalies.csv", "churn.csv", "sweep.csv", "range_vs_deviation_noisy__world.csv"):
+            assert name in written
+        for name in written:
+            lines = (tmp / name).read_text(encoding="utf-8").splitlines()
+            records = list(read_records(lines, name, list))
+            assert len(records) == len(lines), name
+            assert all(len(fields) == len(records[0]) for fields in records), name
 
 
 class TestOverrides:

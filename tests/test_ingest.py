@@ -1,16 +1,20 @@
 import ipaddress
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
 
 from popgeo.evaluate import load_regions
-from popgeo.geodb import load_null_coords, load_point_db, load_range_db
+from popgeo.geo import GeoCoord
+from popgeo.geodb import GeoDatabase, GeoRecord, load_null_coords, load_point_db, load_range_db, save_point_db
 from popgeo.ingest import (
     DelayObservation,
     ParseError,
     aggregate_edges,
     load_ip2as,
     parse_observations,
+    read_records,
+    write_records,
 )
 
 
@@ -228,3 +232,60 @@ def test_unbalanced_quote_skips_only_its_line(caplog):
         obs = parse_observations(lines)
     assert [o.delay_ms for o in obs] == [1.0, 3.0, 4.0]
     assert "observation line 2 skipped" in caplog.text
+
+
+def _read_back(path):
+    with path.open(encoding="utf-8") as fh:
+        return list(read_records(fh, "written", list))
+
+
+class TestWriteRecords:
+    def test_cells_round_trip_through_read_records(self, tmp_path):
+        rows = [
+            ("ip", "lat", "lon", "count"),
+            ("10.0.0.1", -0.0, 5e-324, 7),
+            ("a.b-c_D9", 1e-300, 0.1, -3),
+            ("x", None, None, 0),
+            ("y", 1.7976931348623157e308, -2.5, 12345678901234567890),
+        ]
+        path = tmp_path / "rows.csv"
+        write_records(path, rows)
+        back = _read_back(path)
+        assert len(back) == len(rows)
+        for row, fields in zip(rows, back):
+            assert len(fields) == len(row)
+            for cell, text in zip(row, fields):
+                if cell is None:
+                    assert text == ""
+                elif isinstance(cell, str):
+                    assert text == cell
+                elif isinstance(cell, float):
+                    assert struct.pack("<d", float(text)) == struct.pack("<d", cell)  # bit for bit
+                else:
+                    assert int(text) == cell
+
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=8))
+    def test_floats_round_trip_bit_for_bit(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("floats") / "values.csv"
+        write_records(path, [values])
+        (fields,) = _read_back(path)
+        assert [struct.pack("<d", float(t)) for t in fields] == [struct.pack("<d", v) for v in values]
+
+    def test_one_line_per_row(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        write_records(path, [("a", "b"), (1, None)])
+        assert path.read_text(encoding="utf-8") == "a,b\n1,\n"
+
+    def test_no_rows_is_an_empty_file(self, tmp_path):
+        write_records(tmp_path / "empty.csv", [])
+        save_point_db(GeoDatabase("p", "point"), tmp_path / "points.csv")
+        assert (tmp_path / "empty.csv").read_bytes() == (tmp_path / "points.csv").read_bytes() == b""
+
+    def test_point_db_round_trip(self, tmp_path):
+        points = {1: GeoRecord(GeoCoord(-0.0, 5e-324)), 2: GeoRecord(), 3: GeoRecord(GeoCoord(0.1, 179.9))}
+        path = tmp_path / "points.csv"
+        save_point_db(GeoDatabase("p", "point", points=points), path)
+        assert path.read_text(encoding="utf-8").splitlines()[1] == "0.0.0.2,,"
+        with path.open(encoding="utf-8") as fh:
+            back = load_point_db(fh, "p")
+        assert back.point_entries() == GeoDatabase("p", "point", points=points).point_entries()

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from popgeo.geo import GeoCoord, coordinate_median, destination_point, haversine_km
 from popgeo.iputil import ip_to_int
 from popgeo.locate import (
+    MAX_RADII,
     IpElement,
     PoPLocation,
     VoteConfig,
@@ -96,7 +97,13 @@ class TestVoteConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"step_km": 0}, {"step_km": 600, "max_radius_km": 555}, {"majority_fraction": 0}, {"majority_fraction": 1.2}],
+        [
+            {"step_km": 0},
+            {"step_km": 600, "max_radius_km": 555},
+            {"majority_fraction": 0},
+            {"majority_fraction": 1.2},
+            {"step_km": 1e-9},
+        ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -104,6 +111,11 @@ class TestVoteConfig:
 
 
 class TestRadiusGrid:
+    def test_longest_schedule_is_accepted(self):
+        assert len(radius_grid(VoteConfig(step_km=1.0, max_radius_km=float(MAX_RADII)))) == MAX_RADII
+        with pytest.raises(ValueError):
+            VoteConfig(step_km=1.0, max_radius_km=MAX_RADII + 1.0)
+
     def test_default_grid_reaches_cap_exactly(self):
         grid = radius_grid(VoteConfig())
         assert len(grid) == 500
