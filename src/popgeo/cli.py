@@ -3,8 +3,9 @@
 One INI-style config file wires every stage; any value can be overridden on
 the command line (dedicated flags for the common ones, `--set section.key=v`
 for the rest). Relative paths in a config resolve against the config file's
-directory. Data goes to files under the output directory, logs go to stderr,
-and reruns on identical inputs are byte-identical.
+directory. A key or section outside the config's SCHEMA is logged as a
+warning and ignored. Data goes to files under the output directory, logs go
+to stderr, and reruns on identical inputs are byte-identical.
 
 Exit codes: 0 success, 1 input error, 2 internal invariant violation.
 """
@@ -20,7 +21,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import evaluate as ev
 from .extract import (
@@ -65,55 +66,52 @@ class RunConfig:
     churn_pairs: list[tuple[str, DbSpec, DbSpec]]
     extraction: ExtractionConfig
     vote: VoteConfig
-    agreement_radii: list[float]
-    anomaly_min_ips: int
-    anomaly_share_threshold: float
-    anomaly_rounding_deg: float
-    churn_epsilon_km: float
-    correlation_include_nulls: bool
-    region_names: list[str]
     sweep_grid: list[float]
     synth: Optional[SynthSpec]
     with_singletons: bool
+    # the [evaluate] keys
+    agreement_radii_km: Sequence[float] = (100.0, 500.0)
+    anomaly_min_ips: int = 50
+    anomaly_share_threshold: float = 0.8
+    anomaly_rounding_deg: float = 0.01
+    churn_epsilon_km: float = 1.0
+    correlation_include_nulls: bool = False
+    regions: Sequence[str] = ()
+
+    def __post_init__(self):
+        radii = self.agreement_radii_km
+        # each radius names its own agreement_<db>_<radius>.csv
+        if not radii or not all(0.0 <= r < math.inf for r in radii) or len({f"{r:g}" for r in radii}) < len(radii):
+            raise ValueError(
+                f"evaluate.agreement_radii_km must be non-empty, distinct, finite and non-negative, got {radii}"
+            )
+        if not 0.0 < self.anomaly_rounding_deg < math.inf:
+            raise ValueError(f"evaluate.anomaly_rounding_deg must be positive and finite, got {self.anomaly_rounding_deg}")
+        if not 0.0 < self.anomaly_share_threshold <= 1.0:
+            raise ValueError(f"evaluate.anomaly_share_threshold must be in (0, 1], got {self.anomaly_share_threshold}")
+        if not 0.0 <= self.churn_epsilon_km < math.inf:
+            raise ValueError(f"evaluate.churn_epsilon_km must be finite and non-negative, got {self.churn_epsilon_km}")
 
 
 def _parse_db_spec(name: str, value: str, base: Path) -> DbSpec:
     kind, sep, path = value.partition(":")
     if not sep or kind.strip() not in ("range", "point"):
         raise InputError(f"database {name}: expected '<range|point>:<path>', got {value!r}")
-    return DbSpec(name, kind.strip(), _resolve(base, path.strip()))
-
-
-def _resolve(base: Path, value: str) -> Path:
-    p = Path(value)
-    return p if p.is_absolute() else base / p
+    return DbSpec(name, kind.strip(), base / path.strip())  # an absolute path replaces base
 
 
 def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _get(cp, section, option, convert, default=None):
-    """convert(value) of a config key, or default when the key is absent or empty."""
-    raw = cp.get(section, option, fallback=None)
-    return default if raw is None or raw == "" else convert(raw)
+def _names(text: str) -> list[str]:
+    return [v.strip() for v in text.split(",") if v.strip()]
 
 
-def _configured(cp, section: str, converters: Mapping[str, Callable]) -> dict:
-    """convert(value) of each key that section sets non-empty; the dataclass defaults the rest."""
-    return {
-        option: convert(raw)
-        for option, convert in converters.items()
-        if (raw := cp.get(section, option, fallback="")) != ""
-    }
-
-
-def _radii(text: str) -> list[float]:
-    """Agreement radii in km: finite, non-negative, and each naming its own output file."""
-    radii = _floats(text)
-    if not radii or not all(0.0 <= r < math.inf for r in radii) or len({f"{r:g}" for r in radii}) < len(radii):
-        raise ValueError(f"agreement radii must be distinct, finite and non-negative, got {text!r}")
-    return radii
+def _bool(text: str) -> bool:
+    if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError("expected true or false (also yes/no, on/off, 1/0)")
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
 
 
 def _delay_range(text: str) -> tuple[float, float]:
@@ -123,60 +121,67 @@ def _delay_range(text: str) -> tuple[float, float]:
     return lo_hi[0], lo_hi[1]
 
 
-# the keys of [extract], [vote] and [synth], each with the conversion of its value
-EXTRACT_KEYS = {
-    "pop_max_delay_ms": float,
-    "pop_min_measurements": int,
-    "singleton_max_links": int,
-    "singleton_max_median_ms": float,
+# every fixed-key section with its keys, each with the conversion of its
+# value; [synth_dbs] lists the keys of the key=value items of each value.
+# [databases] and [churn] name their own keys.
+SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
+    "paths": {"observations": Path, "ip2as": Path, "out": Path, "regions": Path, "null_coords": Path},
+    "extract": {
+        "pop_max_delay_ms": float, "pop_min_measurements": int,
+        "singleton_max_links": int, "singleton_max_median_ms": float,
+    },
+    "vote": {"step_km": float, "max_radius_km": float, "majority_fraction": float},
+    "evaluate": {
+        "agreement_radii_km": _floats, "anomaly_min_ips": int, "anomaly_share_threshold": float,
+        "anomaly_rounding_deg": float, "churn_epsilon_km": float, "correlation_include_nulls": _bool,
+        "regions": _names,
+    },
+    "sweep": {"grid": _floats},
+    "synth": {
+        "pop_count": int, "ips_per_pop": int, "as_count": int,
+        "intra_delay_ms": _delay_range, "inter_delay_ms": _delay_range,
+        "measurements_per_edge": int, "singletons_per_pop": int, "singleton_edge_measurements": int,
+        "seed": int,
+    },
+    "synth_dbs": {
+        "noise_km": float, "null_rate": float, "hq_asn": int, "hq_lat": float, "hq_lon": float, "hq_fraction": float,
+    },
 }
-VOTE_KEYS = {"step_km": float, "max_radius_km": float, "majority_fraction": float}
-SYNTH_KEYS = {
-    "pop_count": int,
-    "ips_per_pop": int,
-    "as_count": int,
-    "intra_delay_ms": _delay_range,
-    "inter_delay_ms": _delay_range,
-    "measurements_per_edge": int,
-    "singletons_per_pop": int,
-    "singleton_edge_measurements": int,
-    "seed": int,
-}
 
 
-def _synth_db_specs(cp) -> tuple[SynthDbSpec, ...]:
-    specs = []
-    for name, value in cp.items("synth_dbs"):
-        kwargs: dict = {}
-        for part in value.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, sep, raw = part.partition("=")
-            if not sep:
-                raise InputError(f"synth_dbs {name}: expected key=value, got {part!r}")
-            key = key.strip()
-            if key == "hq_asn":
-                kwargs[key] = int(raw)
-            elif key in ("noise_km", "null_rate", "hq_lat", "hq_lon", "hq_fraction"):
-                kwargs[key] = float(raw)
-            else:
-                raise InputError(f"synth_dbs {name}: unknown key {key!r}")
-        specs.append(SynthDbSpec(name, **kwargs))
-    return tuple(specs)
+def _read_section(where: str, items: Iterable[tuple[str, str]], keys: Mapping[str, Callable]) -> dict:
+    """convert(value) of each (key, value) item by its conversion in keys.
+
+    An empty value is skipped, so the dataclass default applies. An unknown
+    key is logged and skipped. A value its conversion rejects is an
+    InputError naming where.key and the value.
+    """
+    values = {}
+    for key, raw in items:
+        if key not in keys:
+            log.warning("config: unknown key %s.%s ignored", where, key)
+        elif raw != "":
+            try:
+                values[key] = keys[key](raw)
+            except ValueError as exc:
+                raise InputError(f"bad config value {where}.{key} = {raw!r}: {exc}") from exc
+    return values
 
 
-def _build_synth_spec(cp) -> Optional[SynthSpec]:
-    if not cp.has_section("synth"):
-        return None
-    spec = _configured(cp, "synth", SYNTH_KEYS)
-    if cp.has_section("synth_dbs"):
-        spec["dbs"] = _synth_db_specs(cp)
-    return SynthSpec(**spec)
+def _synth_db_items(name: str, value: str) -> list[tuple[str, str]]:
+    """The (key, value) items of a [synth_dbs] value 'key=value,key=value'."""
+    items = []
+    for part in filter(str.strip, value.split(",")):
+        key, sep, raw = part.partition("=")
+        if not sep:
+            raise InputError(f"synth_dbs.{name}: expected key=value, got {part.strip()!r}")
+        items.append((key.strip(), raw.strip()))
+    return items
 
 
 # the names that become output file names and CSV cells: [databases] names,
-# [churn] labels and the regions of evaluate.regions; so no cell holds a comma
+# [churn] labels, [synth_dbs] names and the regions of evaluate.regions; so no
+# cell holds a comma
 NAME_RULE = re.compile(r"[A-Za-z0-9_.-]+")
 
 # dedicated flag (argparse dest) -> the config key it sets, as a --set item would
@@ -192,7 +197,9 @@ def build_run_config(args) -> RunConfig:
     config_path = Path(args.config)
     if not config_path.is_file():
         raise InputError(f"config file not found: {config_path}")
-    cp = configparser.ConfigParser(interpolation=None)  # a '%' in a value is literal
+    # a '%' in a value is literal; no section lends its keys to the others, so
+    # [DEFAULT] is an ordinary section name, refused below
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     cp.optionxform = str  # keep database names case-sensitive
     try:
         cp.read_string(config_path.read_text(encoding="utf-8"), source=str(config_path))
@@ -207,80 +214,80 @@ def build_run_config(args) -> RunConfig:
             overrides.append(f"{target}={value}")
     for item in overrides:
         target, sep, value = item.partition("=")
-        section, dot, option = target.partition(".")
-        if not sep or not dot:
+        section, _, option = target.partition(".")
+        if not (sep and section and option):
             raise InputError(f"--set expects section.key=value, got {item!r}")
         if not cp.has_section(section):
             cp.add_section(section)
         cp.set(section, option, value)
+    if cp.has_section("DEFAULT"):
+        raise InputError("a [DEFAULT] section is not supported: set each key in its own section")
+    for name in cp.sections():
+        if name not in SCHEMA and name not in ("databases", "churn"):
+            log.warning("config: unknown section [%s] ignored", name)
+
+    def items(name: str) -> list[tuple[str, str]]:
+        return cp.items(name) if cp.has_section(name) else []
+
+    def section(name: str) -> dict:
+        return _read_section(name, items(name), SCHEMA[name])
 
     base = config_path.parent
-
-    def _path_or_none(option: str) -> Optional[Path]:
-        raw = cp.get("paths", option, fallback=None)
-        return None if raw is None or raw == "" else _resolve(base, raw)
-
-    out_dir = Path(args.out) if args.out else (_path_or_none("out") or base / "out")
+    paths = {key: base / path for key, path in section("paths").items()}  # an absolute path replaces base
+    out_dir = Path(args.out) if args.out else paths.get("out", base / "out")
     null_coords = (
-        Path(args.null_coords_file) if getattr(args, "null_coords_file", None) else _path_or_none("null_coords")
+        Path(args.null_coords_file) if getattr(args, "null_coords_file", None) else paths.get("null_coords")
     )
 
-    db_specs = []
-    if cp.has_section("databases"):
-        db_specs = [_parse_db_spec(n, v, base) for n, v in cp.items("databases")]
+    db_specs = [_parse_db_spec(n, v, base) for n, v in items("databases")]
     if len({d.name for d in db_specs}) != len(db_specs):
         raise InputError("duplicate database names in [databases]")
     if any(d.name == "all" for d in db_specs):
         raise InputError("database name 'all' is reserved for the cross-database vote")
 
     churn_pairs = []
-    if cp.has_section("churn"):
-        for label, value in cp.items("churn"):
-            halves = value.split(",")
-            if len(halves) != 2:
-                raise InputError(f"churn {label}: expected '<kind>:<old>,<kind>:<new>'")
-            churn_pairs.append(
-                (
-                    label,
-                    _parse_db_spec(f"{label}.old", halves[0].strip(), base),
-                    _parse_db_spec(f"{label}.new", halves[1].strip(), base),
-                )
+    for label, value in items("churn"):
+        halves = value.split(",")
+        if len(halves) != 2:
+            raise InputError(f"churn {label}: expected '<kind>:<old>,<kind>:<new>'")
+        churn_pairs.append(
+            (
+                label,
+                _parse_db_spec(f"{label}.old", halves[0].strip(), base),
+                _parse_db_spec(f"{label}.new", halves[1].strip(), base),
             )
+        )
+
+    synth = section("synth")
+    if cp.has_section("synth_dbs"):
+        synth["dbs"] = tuple(
+            SynthDbSpec(name, **_read_section(f"synth_dbs.{name}", _synth_db_items(name, value), SCHEMA["synth_dbs"]))
+            for name, value in items("synth_dbs")
+        )
 
     try:
         cfg = RunConfig(
             out_dir=out_dir,
-            observations=_path_or_none("observations"),
-            ip2as=_path_or_none("ip2as"),
-            regions_file=_path_or_none("regions"),
+            observations=paths.get("observations"),
+            ip2as=paths.get("ip2as"),
+            regions_file=paths.get("regions"),
             null_coords_file=null_coords,
             db_specs=db_specs,
             churn_pairs=churn_pairs,
-            extraction=ExtractionConfig(**_configured(cp, "extract", EXTRACT_KEYS)),
-            vote=VoteConfig(**_configured(cp, "vote", VOTE_KEYS)),
-            agreement_radii=_get(cp, "evaluate", "agreement_radii_km", _radii, [100.0, 500.0]),
-            anomaly_min_ips=_get(cp, "evaluate", "anomaly_min_ips", int, 50),
-            anomaly_share_threshold=_get(cp, "evaluate", "anomaly_share_threshold", float, 0.8),
-            anomaly_rounding_deg=_get(cp, "evaluate", "anomaly_rounding_deg", float, 0.01),
-            churn_epsilon_km=_get(cp, "evaluate", "churn_epsilon_km", float, 1.0),
-            correlation_include_nulls=cp.getboolean("evaluate", "correlation_include_nulls", fallback=False),
-            region_names=[r.strip() for r in cp.get("evaluate", "regions", fallback="").split(",") if r.strip()],
-            sweep_grid=_floats(cp.get("sweep", "grid", fallback="")),
-            synth=_build_synth_spec(cp),
+            extraction=ExtractionConfig(**section("extract")),
+            vote=VoteConfig(**section("vote")),
+            sweep_grid=section("sweep").get("grid", []),
+            synth=SynthSpec(**synth) if cp.has_section("synth") else None,
             with_singletons=bool(getattr(args, "with_singletons", False)),
+            **section("evaluate"),
         )
-        if not 0.0 < cfg.anomaly_rounding_deg < math.inf:
-            raise ValueError(f"anomaly_rounding_deg must be positive and finite, got {cfg.anomaly_rounding_deg}")
-        if not 0.0 < cfg.anomaly_share_threshold <= 1.0:
-            raise ValueError(f"anomaly_share_threshold must be in (0, 1], got {cfg.anomaly_share_threshold}")
-        if not 0.0 <= cfg.churn_epsilon_km < math.inf:
-            raise ValueError(f"churn_epsilon_km must be finite and non-negative, got {cfg.churn_epsilon_km}")
     except ValueError as exc:
         raise InputError(f"bad config value: {exc}") from exc
-    names = [d.name for d in db_specs] + [label for label, _, _ in churn_pairs] + cfg.region_names
+    names = [d.name for d in db_specs] + [label for label, _, _ in churn_pairs] + list(cfg.regions)
+    names += [name for name, _ in items("synth_dbs")]
     bad = [name for name in names if not NAME_RULE.fullmatch(name)]
     if bad:
-        raise InputError(f"database, churn and region names must match {NAME_RULE.pattern}, got {bad}")
+        raise InputError(f"database, churn, synth_dbs and region names must match {NAME_RULE.pattern}, got {bad}")
     return cfg
 
 
@@ -376,7 +383,7 @@ def _agreements(cfg: RunConfig, popmap: PopMap, dbs) -> dict[str, dict[str, Opti
     """Each database's per-PoP agreement fractions, one per configured radius."""
     return {
         db.name: {
-            pop.id: ev.pop_agreement(pop, db, cfg.agreement_radii)
+            pop.id: ev.pop_agreement(pop, db, cfg.agreement_radii_km)
             for pop in popmap.pops
         }
         for db in dbs
@@ -404,7 +411,7 @@ def _regions_for(cfg: RunConfig) -> list[ev.RegionSpec]:
         with _require_file(cfg.regions_file, "regions file").open(encoding="utf-8") as fh:
             named.update(ev.load_regions(fh))
     regions = []
-    for name in cfg.region_names:
+    for name in cfg.regions:
         spec = named.get(name) or ev.BUILTIN_REGIONS.get(name)
         if spec is None:
             raise InputError(f"unknown region {name!r}")
@@ -430,8 +437,8 @@ def _per_db_reports(
         _write_cdf_csv(out / f"convergence_{db.name}{suffix}.csv", "range_km", conv)
         counters["convergence_tail"][db.name] = conv.tail_count
         per_pop = [agreements[db.name][pop.id] for pop in popmap.pops]
-        cdfs = ev.agreement_cdf(db.name, cfg.agreement_radii, per_pop)
-        for radius, series in zip(cfg.agreement_radii, cdfs):
+        cdfs = ev.agreement_cdf(db.name, cfg.agreement_radii_km, per_pop)
+        for radius, series in zip(cfg.agreement_radii_km, cdfs):
             _write_cdf_csv(out / f"agreement_{db.name}_{radius:g}{suffix}.csv", "agreement", series)
             counters["agreement_excluded"][f"{db.name}:{radius:g}"] = series.excluded_count
         deviation = ev.deviation_samples(popmap, db, votes["all"], own)
@@ -553,18 +560,9 @@ def cmd_synth(cfg: RunConfig) -> int:
         "[databases]",
     ]
     lines += [f"{db.name} = point:db_{db.name}.csv" for db in scenario.dbs]
-    lines += [
-        "",
-        "[extract]",
-        f"pop_max_delay_ms = {cfg.extraction.pop_max_delay_ms!r}",
-        f"pop_min_measurements = {cfg.extraction.pop_min_measurements}",
-        f"singleton_max_links = {cfg.extraction.singleton_max_links}",
-        "",
-        "[vote]",
-        f"step_km = {cfg.vote.step_km!r}",
-        f"max_radius_km = {cfg.vote.max_radius_km!r}",
-        f"majority_fraction = {cfg.vote.majority_fraction!r}",
-    ]
+    for name, settings in (("extract", cfg.extraction), ("vote", cfg.vote)):
+        lines += ["", f"[{name}]"]
+        lines += [f"{key} = {value!r}" for key in SCHEMA[name] if (value := getattr(settings, key)) is not None]
     (cfg.out_dir / "run.ini").write_text("\n".join(lines) + "\n", encoding="utf-8")
     log.info(
         "synthetic scenario with %d PoPs, %d observations, %d databases written to %s",

@@ -1,3 +1,4 @@
+import configparser
 import json
 import os
 import subprocess
@@ -336,6 +337,7 @@ class TestErrors:
             (None, ["databases.x,y=point:db_clean.csv"]),
             ("a/b,0,10,0,10", ["paths.regions=regions.csv", "evaluate.regions=a/b"]),
             (None, ["churn.x,y=point:db_clean.csv,point:db_noisy.csv"]),
+            (None, ["evaluate.agreement_radii_km=,"]),
         ],
         ids=[
             "unknown_region",
@@ -358,6 +360,7 @@ class TestErrors:
             "comma_in_database_name",
             "slash_in_region_name",
             "comma_in_churn_label",
+            "no_radius",
         ],
     )
     def test_failed_evaluate_writes_nothing(self, workdir, regions_line, settings):
@@ -499,6 +502,105 @@ class TestErrors:
             assert run(cfg, "extract") == 0
         assert "no observations" in caplog.text
         assert json.loads((tmp / "popmap_core.json").read_text()) == []
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize(
+        "setting, named",
+        [("extract.pop_max_delay=0.001", "extract.pop_max_delay"), ("nosuch.key=1", "[nosuch]")],
+        ids=["unknown_key", "unknown_section"],
+    )
+    def test_unknown_name_warns_and_changes_nothing(self, workdir, caplog, setting, named):
+        tmp, cfg = workdir
+        run(cfg, "synth")
+        assert run(cfg, "extract") == 0
+        expected = read_tree(tmp)
+        caplog.clear()
+        assert run(cfg, "extract", "--set", setting) == 0
+        assert read_tree(tmp) == expected
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1 and named in warnings[0]
+
+    @pytest.mark.parametrize(
+        "command, setting, named, raw",
+        [
+            ("extract", "extract.pop_max_delay_ms=abc", "extract.pop_max_delay_ms", "'abc'"),
+            ("evaluate", "evaluate.anomaly_min_ips=many", "evaluate.anomaly_min_ips", "'many'"),
+            ("sweep", "sweep.grid=1,x", "sweep.grid", "'1,x'"),
+            ("synth", "synth_dbs.noisy=noise_km=far", "synth_dbs.noisy.noise_km", "'far'"),
+        ],
+        ids=["extract", "evaluate", "sweep", "synth_dbs"],
+    )
+    def test_bad_value_names_its_key(self, workdir, caplog, command, setting, named, raw):
+        tmp, cfg = workdir
+        run(cfg, "synth")
+        run(cfg, "extract")
+        before = read_tree(tmp)
+        caplog.clear()
+        assert run(cfg, command, "--set", setting) == 1
+        assert read_tree(tmp) == before
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and named in errors[0] and raw in errors[0]
+
+    @pytest.mark.parametrize("setting", ["synth_dbs.a/b=noise_km=0", "synth_dbs.x,y=noise_km=0"], ids=["slash", "comma"])
+    def test_bad_synth_db_name_writes_nothing(self, workdir, setting):
+        tmp, cfg = workdir
+        out = tmp / "out"
+        out.mkdir()
+        assert run(cfg, "synth", "--out", str(out), "--set", setting) == 1
+        assert list(out.iterdir()) == []
+
+    def test_run_ini_carries_the_singleton_threshold(self, workdir):
+        tmp, cfg = workdir
+        assert run(cfg, "synth") == 0
+        assert "singleton_max_median_ms" not in (tmp / "run.ini").read_text(encoding="utf-8")
+        assert run(cfg, "synth", "--set", "extract.singleton_max_median_ms=0.5") == 0
+        assert "singleton_max_median_ms = 0.5\n" in (tmp / "run.ini").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "prefix, extra, said",
+        [
+            ("[DEFAULT]\nout = elsewhere\n", [], "[DEFAULT]"),
+            ("", ["--set", "DEFAULT.x=1"], "[DEFAULT]"),
+            ("", ["--set", ".x=1"], "'.x=1'"),
+        ],
+        ids=["in_file", "set_default", "set_no_section"],
+    )
+    def test_default_section_is_input_error(self, workdir, caplog, prefix, extra, said):
+        tmp, cfg = workdir
+        run(cfg, "synth")
+        run(cfg, "extract")
+        cfg.write_text(prefix + BASE_CONFIG, encoding="utf-8")
+        before = read_tree(tmp)
+        caplog.clear()
+        assert run(cfg, "locate", *extra) == 1
+        assert read_tree(tmp) == before
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and said in errors[0].getMessage() and errors[0].exc_info is None
+
+    @staticmethod
+    def _ini(text):
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.optionxform = str
+        cp.read_string(text)
+        return cp
+
+    def test_readme_sample_holds_every_key(self):
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        cp = self._ini(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        schema = popgeo.cli.SCHEMA
+        assert set(cp.sections()) == set(schema) | {"databases", "churn"}
+        for name, keys in schema.items():
+            if name != "synth_dbs":
+                assert list(cp[name]) == list(keys), name
+        items = [part.partition("=")[0].strip() for value in cp["synth_dbs"].values() for part in value.split(",")]
+        assert sorted(set(items)) == sorted(schema["synth_dbs"])
+        # the quick start's config is the sample's scenario
+        demo = self._ini((root / "examples" / "demo.ini").read_text(encoding="utf-8"))
+        assert {name: dict(demo[name]) for name in demo.sections()} == {
+            name: dict(cp[name]) for name in ("synth", "synth_dbs")
+        }
 
 
 class TestCsvOutputs:
