@@ -21,9 +21,8 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
-from . import evaluate as ev
 from .extract import (
     ExtractionConfig,
     PopMap,
@@ -34,8 +33,14 @@ from .extract import (
 )
 from .geodb import AnswerTable, answer_table, load_null_coords, load_point_db, load_range_db
 from .ingest import DelayEdge, ParseError, PrefixMap, aggregate_edges, load_ip2as, parse_observations, write_records
-from .locate import PoPLocation, VoteConfig, locate_popmap, save_locations
-from .synth import SynthDbSpec, SynthSpec, generate_scenario, write_scenario
+
+# Every stage is a fresh interpreter, so evaluate, synth and the vote are
+# imported inside the commands and helpers that run them: extract and sweep
+# never load them.
+if TYPE_CHECKING:
+    from . import evaluate as ev
+    from .locate import PoPLocation, VoteConfig
+    from .synth import SynthSpec
 
 log = logging.getLogger("popgeo")
 
@@ -194,6 +199,9 @@ DEDICATED_FLAGS = {
 
 
 def build_run_config(args) -> RunConfig:
+    # VoteConfig checks [vote] on every command, so a bad value exits 1 anywhere
+    from .locate import VoteConfig
+
     config_path = Path(args.config)
     if not config_path.is_file():
         raise InputError(f"config file not found: {config_path}")
@@ -259,6 +267,8 @@ def build_run_config(args) -> RunConfig:
         )
 
     synth = section("synth")
+    if cp.has_section("synth") or cp.has_section("synth_dbs"):
+        from .synth import SynthDbSpec, SynthSpec
     if cp.has_section("synth_dbs"):
         synth["dbs"] = tuple(
             SynthDbSpec(name, **_read_section(f"synth_dbs.{name}", _synth_db_items(name, value), SCHEMA["synth_dbs"]))
@@ -288,6 +298,10 @@ def build_run_config(args) -> RunConfig:
     bad = [name for name in names if not NAME_RULE.fullmatch(name)]
     if bad:
         raise InputError(f"database, churn, synth_dbs and region names must match {NAME_RULE.pattern}, got {bad}")
+    # a file at out_dir or above it would fail the stage's mkdir, after its work
+    existing = next((p for p in (out_dir, *out_dir.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise InputError(f"output directory {out_dir}: {existing} is not a directory")
     return cfg
 
 
@@ -374,6 +388,8 @@ def _load_popmaps(cfg: RunConfig) -> tuple[PopMap, PopMap]:
 
 def _votes(cfg: RunConfig, popmap: PopMap, dbs) -> dict[str, dict[str, PoPLocation]]:
     """Each database's own votes by name, plus the cross-database vote as "all"."""
+    from .locate import locate_popmap
+
     votes = {db.name: locate_popmap(popmap, [db], cfg.vote) for db in dbs}
     votes["all"] = locate_popmap(popmap, dbs, cfg.vote)
     return votes
@@ -381,6 +397,8 @@ def _votes(cfg: RunConfig, popmap: PopMap, dbs) -> dict[str, dict[str, PoPLocati
 
 def _agreements(cfg: RunConfig, popmap: PopMap, dbs) -> dict[str, dict[str, Optional[tuple[float, ...]]]]:
     """Each database's per-PoP agreement fractions, one per configured radius."""
+    from . import evaluate as ev
+
     return {
         db.name: {
             pop.id: ev.pop_agreement(pop, db, cfg.agreement_radii_km)
@@ -391,6 +409,8 @@ def _agreements(cfg: RunConfig, popmap: PopMap, dbs) -> dict[str, dict[str, Opti
 
 
 def cmd_locate(cfg: RunConfig) -> int:
+    from .locate import save_locations
+
     if not cfg.db_specs:
         raise InputError("no databases configured")
     popmap_core, popmap_all = _load_popmaps(cfg)
@@ -406,6 +426,8 @@ def cmd_locate(cfg: RunConfig) -> int:
 
 
 def _regions_for(cfg: RunConfig) -> list[ev.RegionSpec]:
+    from . import evaluate as ev
+
     named: dict[str, ev.RegionSpec] = {}
     if cfg.regions_file is not None:
         with _require_file(cfg.regions_file, "regions file").open(encoding="utf-8") as fh:
@@ -427,6 +449,8 @@ def _per_db_reports(
     votes come from _votes and agreements from _agreements, both over a map
     that holds every PoP of popmap.
     """
+    from . import evaluate as ev
+
     counters: dict = {"convergence_tail": {}, "agreement_excluded": {}, "deviation_skipped": {}}
     if not popmap.pops:
         log.warning("PoP map%s is empty; emitting header-only reports", suffix or "")
@@ -451,6 +475,8 @@ def _per_db_reports(
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
+    from . import evaluate as ev
+
     if not cfg.db_specs:
         raise InputError("no databases configured")
     # read and check every input before the first write, so a bad one leaves no partial bundle
@@ -542,6 +568,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_synth(cfg: RunConfig) -> int:
+    from .synth import generate_scenario, write_scenario
+
     if cfg.synth is None:
         raise InputError("no [synth] section configured")
     try:

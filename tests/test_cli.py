@@ -504,6 +504,22 @@ class TestErrors:
         assert json.loads((tmp / "popmap_core.json").read_text()) == []
 
 
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below_file"])
+    @pytest.mark.parametrize("command", ["extract", "locate", "evaluate", "sweep", "synth"])
+    def test_out_naming_a_file_is_input_error(self, workdir, caplog, command, below):
+        tmp, cfg = workdir
+        run(cfg, "synth")
+        run(cfg, "extract")
+        taken = tmp / "taken"
+        taken.write_text("not a directory\n", encoding="utf-8")
+        caplog.clear()
+        assert run(cfg, command, "--out", str(taken / below)) == 1
+        assert taken.read_text(encoding="utf-8") == "not a directory\n"
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].exc_info is None
+        assert "not a directory" in errors[0].getMessage() and str(taken) in errors[0].getMessage()
+
+
 class TestConfigSchema:
     @pytest.mark.parametrize(
         "setting, named",
@@ -601,6 +617,16 @@ class TestConfigSchema:
         assert {name: dict(demo[name]) for name in demo.sections()} == {
             name: dict(cp[name]) for name in ("synth", "synth_dbs")
         }
+
+
+    def test_readme_sample_reads_as_written(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        sample = tmp_path / "sample.ini"
+        sample.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+        cfg = popgeo.cli.build_run_config(popgeo.cli.build_parser().parse_args(["synth", "--config", str(sample)]))
+        assert cfg.extraction.pop_max_delay_ms == 5.0
+        assert cfg.regions_file == tmp_path / "regions.csv"
+        assert cfg.synth is not None
 
 
 class TestCsvOutputs:
@@ -766,3 +792,50 @@ class TestStdlibOnly:
             [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
         )
         assert done.stdout.strip() == "[]"
+
+    def test_every_module_imports_only_the_standard_library(self):
+        # each command imports only what it runs, so import every module by name
+        probe = (
+            "import importlib, json, pkgutil, sys, popgeo; "
+            "names = [m.name for m in pkgutil.iter_modules(popgeo.__path__, 'popgeo.')]; "
+            "[importlib.import_module(name) for name in names]; "
+            "print(json.dumps([names, sorted({m.partition('.')[0] for m in sys.modules}"
+            " - set(sys.stdlib_module_names) - {'popgeo', '__main__'})]))"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        names, third_party = json.loads(done.stdout)
+        assert sorted(names) == sorted(f"popgeo.{p.stem}" for p in (src / "popgeo").glob("*.py") if p.stem != "__init__")
+        assert third_party == []
+
+
+class TestLazyImports:
+    def test_each_command_loads_only_what_it_runs(self, workdir):
+        tmp, cfg = workdir
+        run(cfg, "synth")  # run.ini, unlike the fixture's config, holds no [synth]
+        run(cfg, "extract")
+        probe = (
+            "import json, sys, popgeo; package = sorted(sys.modules); "
+            "from popgeo.cli import main; status = main(sys.argv[1:]) if sys.argv[1:] else 0; "
+            "print(json.dumps([status, package, sorted(sys.modules)]))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+        def loaded(*argv):
+            done = subprocess.run(
+                [sys.executable, "-c", probe, *argv], cwd=tmp, env=env, capture_output=True, text=True, check=True
+            )
+            status, package, modules = json.loads(done.stdout)
+            assert status == 0
+            assert [m for m in package if m.startswith("popgeo.")] == []  # import popgeo loads no submodule
+            return modules
+
+        config = ["--config", str(tmp / "run.ini")]
+        for argv in (["extract", *config], ["sweep", *config, "--grid", "1,3"]):
+            modules = loaded(*argv)
+            assert "popgeo.extract" in modules
+            assert "popgeo.evaluate" not in modules and "popgeo.synth" not in modules
+        assert "popgeo.evaluate" not in loaded("locate", *config)
