@@ -32,7 +32,7 @@ from .extract import (
     threshold_sweep,
 )
 from .geodb import AnswerTable, answer_table, load_null_coords, load_point_db, load_range_db
-from .ingest import DelayEdge, ParseError, PrefixMap, aggregate_edges, load_ip2as, parse_observations, write_records
+from .ingest import INPUT_ENCODING, DelayEdge, ParseError, PrefixMap, load_ip2as, read_edges, write_records
 
 # Every stage is a fresh interpreter, so evaluate, synth and the vote are
 # imported inside the commands and helpers that run them: extract and sweep
@@ -210,7 +210,7 @@ def build_run_config(args) -> RunConfig:
     cp = configparser.ConfigParser(interpolation=None, default_section="")
     cp.optionxform = str  # keep database names case-sensitive
     try:
-        cp.read_string(config_path.read_text(encoding="utf-8"), source=str(config_path))
+        cp.read_string(config_path.read_text(encoding=INPUT_ENCODING), source=str(config_path))
     except configparser.Error as exc:
         raise InputError(f"bad config: {exc}") from exc
 
@@ -316,7 +316,7 @@ def _require_file(path: Optional[Path], what: str) -> Path:
 def _null_coords(cfg: RunConfig):
     if cfg.null_coords_file is None:
         return None
-    with _require_file(cfg.null_coords_file, "null-coords file").open(encoding="utf-8") as fh:
+    with _require_file(cfg.null_coords_file, "null-coords file").open(encoding=INPUT_ENCODING) as fh:
         return load_null_coords(fh)
 
 
@@ -334,7 +334,7 @@ def _table_loader(cfg: RunConfig, popmap: PopMap) -> Callable[[DbSpec], AnswerTa
         key = (spec.kind, spec.path)
         if key not in rows_by_file:
             loader = load_range_db if spec.kind == "range" else load_point_db
-            with _require_file(spec.path, f"database {spec.name}").open(encoding="utf-8") as fh:
+            with _require_file(spec.path, f"database {spec.name}").open(encoding=INPUT_ENCODING) as fh:
                 rows_by_file[key] = answer_table(loader(fh, spec.name, null_coords), popmap).rows
         return AnswerTable(spec.name, rows_by_file[key])
 
@@ -354,12 +354,11 @@ def _read_graph(cfg: RunConfig) -> tuple[list[DelayEdge], PrefixMap]:
     """The aggregated edges of the observations file, and the ip2as prefix map."""
     obs_path = _require_file(cfg.observations, "observations file")
     ip2as_path = _require_file(cfg.ip2as, "ip2as file")
-    with obs_path.open(encoding="utf-8") as fh:
-        observations = parse_observations(fh)
-    if not observations:
+    with obs_path.open(encoding=INPUT_ENCODING) as fh:
+        edges = read_edges(fh)
+    if not edges:
         log.warning("observation file %s contains no observations", obs_path)
-    edges = aggregate_edges(observations)
-    with ip2as_path.open(encoding="utf-8") as fh:
+    with ip2as_path.open(encoding=INPUT_ENCODING) as fh:
         return edges, load_ip2as(fh)
 
 
@@ -430,7 +429,7 @@ def _regions_for(cfg: RunConfig) -> list[ev.RegionSpec]:
 
     named: dict[str, ev.RegionSpec] = {}
     if cfg.regions_file is not None:
-        with _require_file(cfg.regions_file, "regions file").open(encoding="utf-8") as fh:
+        with _require_file(cfg.regions_file, "regions file").open(encoding=INPUT_ENCODING) as fh:
             named.update(ev.load_regions(fh))
     regions = []
     for name in cfg.regions:
@@ -488,7 +487,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     churn_pairs = [(label, table(old), table(new)) for label, old, new in cfg.churn_pairs]
     prefix_map = None
     if cfg.ip2as is not None:
-        with _require_file(cfg.ip2as, "ip2as file").open(encoding="utf-8") as fh:
+        with _require_file(cfg.ip2as, "ip2as file").open(encoding=INPUT_ENCODING) as fh:
             prefix_map = load_ip2as(fh)
     regions = _regions_for(cfg)
     out = cfg.out_dir

@@ -19,7 +19,7 @@ from pathlib import Path
 from statistics import median
 from typing import Optional, Sequence
 
-from .ingest import DelayEdge, ParseError, PrefixMap
+from .ingest import INPUT_ENCODING, DelayEdge, ParseError, PrefixMap
 from .iputil import ip_to_int, sort_ips
 
 
@@ -306,7 +306,7 @@ def load_popmap(path) -> PopMap:
     Members are disjoint and each id is its PoP's lowest core member, so ids are unique.
     """
     try:
-        rows = json.loads(Path(path).read_text(encoding="utf-8"))
+        rows = json.loads(Path(path).read_text(encoding=INPUT_ENCODING))
         return PopMap(tuple(_pop(row) for row in rows))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed PoP map {path}: {exc!r}") from exc

@@ -3,9 +3,11 @@
 Inputs are pre-decomposed one-hop delay observations (`src_ip,dst_ip,delay_ms`
 CSV) and an IP-to-AS prefix table (`prefix/len,asn` CSV). Observations are
 aggregated into directed edges carrying the exact median delay and the
-measurement count. read_records is the line reader of every input format,
-these two and the geodb and evaluate ones alike; write_records is the line
-writer of every CSV output.
+measurement count: read_edges folds each line straight into its edge, and
+parse_observations/aggregate_edges do the same in two steps for library
+callers. read_records is the line reader of every input format, these two
+and the geodb and evaluate ones alike; write_records is the line writer of
+every CSV output.
 """
 
 import csv
@@ -23,6 +25,10 @@ from .iputil import ip_to_int
 log = logging.getLogger(__name__)
 
 DEFAULT_ERROR_CAP = 100
+
+# the encoding of every file popgeo reads: UTF-8, where a leading byte order
+# mark (written by spreadsheet tools' "CSV UTF-8") is dropped, not read as data
+INPUT_ENCODING = "utf-8-sig"
 
 T = TypeVar("T")
 
@@ -47,14 +53,24 @@ class DelayObservation:
     delay_ms: float
 
     def __post_init__(self):
-        ip_to_int(self.src)
-        ip_to_int(self.dst)
-        if self.src == self.dst:
-            raise ValueError(f"self-loop observation {self.src}")
-        if not math.isfinite(self.delay_ms):
-            raise ValueError(f"non-finite delay {self.delay_ms}")
-        if self.delay_ms < 0:
-            raise ValueError(f"negative delay {self.delay_ms}")
+        _check_pair(self.src, self.dst)
+        _check_delay(self.delay_ms)
+
+
+def _check_pair(src: str, dst: str) -> None:
+    """The rules on an observation's ends: two valid addresses, no self-loop."""
+    ip_to_int(src)
+    ip_to_int(dst)
+    if src == dst:
+        raise ValueError(f"self-loop observation {src}")
+
+
+def _check_delay(delay_ms: float) -> None:
+    """The rules on an observation's delay: finite and non-negative."""
+    if not math.isfinite(delay_ms):
+        raise ValueError(f"non-finite delay {delay_ms}")
+    if delay_ms < 0:
+        raise ValueError(f"negative delay {delay_ms}")
 
 
 @dataclass(frozen=True)
@@ -136,6 +152,42 @@ def aggregate_edges(observations: list[DelayObservation]) -> list[DelayEdge]:
     delays = defaultdict(list)
     for ob in observations:
         delays[(ob.src, ob.dst)].append(ob.delay_ms)
+    return _edges(delays)
+
+
+def read_edges(lines: Iterable[str], max_errors: int = DEFAULT_ERROR_CAP) -> list[DelayEdge]:
+    """aggregate_edges(parse_observations(lines, max_errors)), without an object per line.
+
+    Each line is folded into its pair's delay list as it is read. A pair's
+    address and self-loop rules are checked when the pair is first seen, so a
+    repeated pair is known good; the delay rules are checked on every line,
+    and a line that fails any rule leaves the lists as they were. The rules,
+    their order, the messages and the error policy are those of
+    parse_observations.
+    """
+    delays: dict[tuple[str, str], list[float]] = {}
+
+    def fold(fields: list[str]) -> None:
+        if len(fields) != 3:
+            raise ValueError(f"expected 3 fields, got {len(fields)}")
+        pair = fields[0], fields[1]
+        delay = float(fields[2])
+        known = delays.get(pair)
+        if known is None:
+            _check_pair(*pair)
+            _check_delay(delay)
+            delays[pair] = [delay]
+        else:
+            _check_delay(delay)
+            known.append(delay)
+
+    for _ in read_records(lines, "observation", fold, max_errors):
+        pass
+    return _edges(delays)
+
+
+def _edges(delays: dict[tuple[str, str], list[float]]) -> list[DelayEdge]:
+    """One edge per pair: the exact median and the count, sorted by numeric (src, dst)."""
     edges = [
         DelayEdge(src, dst, float(median(vals)), len(vals))
         for (src, dst), vals in delays.items()

@@ -1,10 +1,8 @@
 """Small IPv4 helpers shared by the parsers and serializers."""
 
-import ipaddress
-
 # _socket is the C module that socket wraps; socket itself would add its
 # Python layer (selectors, enums) to the import time and memory of every stage
-from _socket import AF_INET, inet_pton
+from _socket import AF_INET, inet_ntoa, inet_pton
 
 # Successful ip_to_int parses, keyed by the exact input string. A parse is a
 # pure function of its input, so every caller in the process can share them;
@@ -40,7 +38,11 @@ def ip_to_int(ip: str) -> int:
 
 
 def int_to_ip(value: int) -> str:
-    return str(ipaddress.IPv4Address(value))
+    """32-bit integer to its dotted quad, as ipaddress.IPv4Address formats it; ValueError out of range."""
+    try:
+        return inet_ntoa(value.to_bytes(4, "big"))
+    except OverflowError:  # negative or above 2**32 - 1
+        raise ValueError(f"not a 32-bit IPv4 address value: {value!r}") from None
 
 
 def sort_ips(ips) -> list[str]:

@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 
 from popgeo.extract import PoP, PopMap
@@ -19,6 +21,25 @@ def point_db(name, mapping):
         for ip, latlon in mapping.items()
     }
     return GeoDatabase(name, "point", points=points)
+
+
+class WarningLog(logging.Handler):
+    """The messages of the warnings logged under one logger (and its children) inside a with block."""
+
+    def __init__(self, logger: str):
+        super().__init__(logging.WARNING)
+        self.logger = logging.getLogger(logger)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+    def __enter__(self):
+        self.logger.addHandler(self)
+        return self
+
+    def __exit__(self, *exc):
+        self.logger.removeHandler(self)
 
 
 def make_pop(pop_id, members, asn=1, singletons=()):

@@ -1,6 +1,7 @@
 import configparser
 import json
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -10,7 +11,9 @@ import pytest
 
 import popgeo.cli
 import popgeo.evaluate
+import popgeo.ingest
 import popgeo.locate
+from conftest import WarningLog
 from popgeo.cli import main
 from popgeo.geodb import GeoDatabase
 from popgeo.extract import load_popmap
@@ -251,6 +254,26 @@ class TestAgreementCount:
         assert len(set(calls)) == len(calls)
         summary = json.loads((tmp / "summary.json").read_text())
         assert summary["regions"]["world"]["pop_count"] == len(pops)
+
+
+class TestStreamedObservations:
+    @pytest.mark.parametrize("command", ["extract", "sweep"])
+    def test_no_object_per_observation_line(self, workdir, monkeypatch, command):
+        tmp, cfg = workdir
+        run(cfg, "synth")
+        built = []
+        real = popgeo.ingest.DelayObservation
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(popgeo.ingest, "DelayObservation", counting)
+        assert run(cfg, command) == 0
+        assert (tmp / ("sweep.csv" if command == "sweep" else "popmap_core.json")).exists()
+        assert built == []
+        popgeo.ingest.parse_observations(["10.0.0.1,10.0.0.2,1.0"])  # the wrapper does count
+        assert len(built) == 1
 
 
 def _bad_member(text):
@@ -839,3 +862,76 @@ class TestLazyImports:
             assert "popgeo.extract" in modules
             assert "popgeo.evaluate" not in modules and "popgeo.synth" not in modules
         assert "popgeo.evaluate" not in loaded("locate", *config)
+
+
+# a copy of each input format with a UTF-8 byte order mark reads as the plain file
+BOM = "\ufeff"
+BOM_FILES = [
+    "config.ini",
+    "observations.csv",
+    "ip2as.csv",
+    "db_clean.csv",
+    "range_noisy.csv",
+    "null_coords.csv",
+    "regions.csv",
+    "out/popmap_singletons.json",
+]
+
+
+def _bom_inputs(tmp: Path) -> None:
+    """synth's files, a range copy of db_noisy, null coords, a regions file and a config reading all of them."""
+    cfg = tmp / "config.ini"
+    cfg.write_text(BASE_CONFIG, encoding="utf-8")
+    assert run(cfg, "synth") == 0
+    points = (tmp / "db_noisy.csv").read_text(encoding="utf-8").splitlines()
+    ranges = [f"{ip},{ip},,,{lat},{lon}" for ip, lat, lon in (line.split(",") for line in points)]
+    (tmp / "range_noisy.csv").write_text("\n".join(ranges) + "\n", encoding="utf-8")
+    (tmp / "null_coords.csv").write_text("39.74,-104.98\n", encoding="utf-8")  # pinner's headquarters
+    (tmp / "regions.csv").write_text("everywhere,-90,90,-180,180\n", encoding="utf-8")
+    config = BASE_CONFIG.replace("[databases]\n", "[databases]\nranged = range:range_noisy.csv\n")
+    config = config.replace("out = .\n", "out = out\nnull_coords = null_coords.csv\nregions = regions.csv\n")
+    cfg.write_text(config.replace("regions = europe,usa", "regions = europe,usa,everywhere"), encoding="utf-8")
+
+
+def _run_stages(tmp: Path, bom_file: str = "") -> tuple[dict[str, bytes], list[str]]:
+    """Every stage on tmp/config.ini, with bom_file BOM-prefixed before the first stage reads it.
+
+    Returns the outputs but bom_file, and the messages of every warning logged.
+    """
+
+    def prefix(name: str) -> None:
+        if name == bom_file:
+            path = tmp / name
+            path.write_text(BOM + path.read_text(encoding="utf-8"), encoding="utf-8")
+
+    with WarningLog("popgeo") as warnings:
+        for name in BOM_FILES[:-1]:
+            prefix(name)
+        cfg = tmp / "config.ini"
+        assert run(cfg, "extract") == 0
+        prefix(BOM_FILES[-1])
+        for command in ("locate", "evaluate", "sweep"):
+            assert run(cfg, command) == 0
+    outputs = {name: data for name, data in read_tree(tmp / "out").items() if f"out/{name}" != bom_file}
+    return outputs, warnings.messages
+
+
+@pytest.fixture(scope="module")
+def bom_plain(tmp_path_factory):
+    """The inputs of the BOM tests and the outputs of every stage on them, without a BOM."""
+    inputs = tmp_path_factory.mktemp("bom_inputs")
+    _bom_inputs(inputs)
+    plain = tmp_path_factory.mktemp("bom_plain")
+    shutil.copytree(inputs, plain, dirs_exist_ok=True)
+    return inputs, _run_stages(plain)
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("name", BOM_FILES)
+    def test_bom_prefixed_input_gives_the_same_outputs(self, bom_plain, tmp_path, name):
+        inputs, (plain, plain_warnings) = bom_plain
+        tmp = tmp_path / "bom"
+        shutil.copytree(inputs, tmp)
+        outputs, warnings = _run_stages(tmp, name)
+        assert warnings == plain_warnings
+        assert outputs == {n: data for n, data in plain.items() if f"out/{n}" != name}

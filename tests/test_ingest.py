@@ -2,8 +2,9 @@ import ipaddress
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from conftest import WarningLog
 from popgeo.evaluate import load_regions
 from popgeo.geo import GeoCoord
 from popgeo.geodb import GeoDatabase, GeoRecord, load_null_coords, load_point_db, load_range_db, save_point_db
@@ -13,6 +14,7 @@ from popgeo.ingest import (
     aggregate_edges,
     load_ip2as,
     parse_observations,
+    read_edges,
     read_records,
     write_records,
 )
@@ -133,6 +135,71 @@ class TestAggregateProperties:
             mid = len(delays) // 2
             expected = delays[mid] if len(delays) % 2 else (delays[mid - 1] + delays[mid]) / 2
             assert e.median_delay_ms == expected
+
+
+def _outcome(read, lines, cap):
+    """read(lines, cap) as ("edges", edges) or ("error", message, errors), with its warnings."""
+    with WarningLog("popgeo.ingest") as warnings:
+        try:
+            result = ("edges", read(lines, cap))
+        except ParseError as exc:
+            result = ("error", str(exc), exc.errors)
+    return result, warnings.messages
+
+
+# a small pool, so pairs repeat and src == dst gives self-loops, plus addresses that fail
+_ENDS = st.sampled_from(_pool[:3] + ["10.0.0.256", "nope", "", "10.0.0.01"])
+_DELAYS = st.one_of(
+    st.floats(min_value=0, max_value=50).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-1", "-0.5", "-0.0", "abc", "", "1_5", " 2.5 "]),
+)
+
+
+def _observation_line(src, dst, delay, shape):
+    if shape == "quoted":
+        return f'"{src}",{dst},"{delay}"'
+    if shape == "spaced":
+        return f" {src} , {dst} ,{delay} "
+    return f"{src},{dst},{delay}"
+
+
+_LINES = st.lists(
+    st.one_of(
+        st.builds(_observation_line, _ENDS, _ENDS, _DELAYS, st.sampled_from(["plain", "plain", "quoted", "spaced"])),
+        st.sampled_from(
+            [
+                "",
+                "   ",
+                "# comment",
+                "10.0.0.1,10.0.0.2",
+                "10.0.0.1,10.0.0.2,1.0,extra",
+                '10.0.0.1,10.0.0.2,"1,5"',
+                '10.0.0.1,"10.0.0.2,2.0',
+            ]
+        ),
+    ),
+    max_size=40,
+)
+
+# a pair whose first line fails and a later line is good; a good pair, then a bad delay on it
+_FIRST_BAD_THEN_GOOD = ["10.0.0.1,10.0.0.2,nan", "10.0.0.1,10.0.0.2,1.0", "10.0.0.1,10.0.0.2,3.0"]
+_GOOD_THEN_BAD_DELAY = ["10.0.0.1,10.0.0.2,1.0", "10.0.0.1,10.0.0.2,-1", "10.0.0.1,10.0.0.2,inf"]
+
+
+class TestReadEdges:
+    """read_edges(lines, cap) == aggregate_edges(parse_observations(lines, cap)), errors and warnings alike."""
+
+    @given(_LINES, st.sampled_from([0, 2, 100]))
+    @example(_FIRST_BAD_THEN_GOOD, 2)
+    @example(_GOOD_THEN_BAD_DELAY, 2)
+    def test_matches_parse_then_aggregate(self, lines, cap):
+        expected = _outcome(lambda ls, c: aggregate_edges(parse_observations(ls, c)), lines, cap)
+        assert _outcome(read_edges, lines, cap) == expected
+
+    @pytest.mark.parametrize("lines, median_count", [(_FIRST_BAD_THEN_GOOD, (2.0, 2)), (_GOOD_THEN_BAD_DELAY, (1.0, 1))])
+    def test_a_failed_line_adds_no_delay(self, lines, median_count):
+        (edge,) = read_edges(lines, max_errors=2)
+        assert (edge.median_delay_ms, edge.count) == median_count
 
 
 # addresses in 10.0.0.0/22, so prefixes of length 8 to 22 always overlap and longer ones often do

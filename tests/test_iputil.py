@@ -84,3 +84,14 @@ def test_parse_ip_agrees_with_ipaddress(text):
 @given(st.integers(0, 2**32 - 1))
 def test_parse_ip_inverts_int_to_ip(value):
     assert parse_ip(int_to_ip(value)) == value
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_int_to_ip_agrees_with_ipaddress(value):
+    assert int_to_ip(value) == str(ipaddress.IPv4Address(value))
+
+
+@pytest.mark.parametrize("value", [-1, 2**32])
+def test_int_to_ip_out_of_range_is_value_error(value):
+    with pytest.raises(ValueError):
+        int_to_ip(value)
