@@ -324,19 +324,19 @@ def _table_loader(cfg: RunConfig, popmap: PopMap) -> Callable[[DbSpec], AnswerTa
     """A function from a database spec to its answer table over popmap.
 
     Each (kind, path) file is loaded and queried once, whichever spec names
-    it first; every later spec on the file gets those rows under its own
-    name. The null-coords file is read once, here.
+    it first; every later spec on the file gets that address -> coordinate
+    mapping under its own name. The null-coords file is read once, here.
     """
     null_coords = _null_coords(cfg)
-    rows_by_file: dict[tuple[str, Path], Mapping] = {}
+    coords_by_file: dict[tuple[str, Path], Mapping] = {}
 
     def table(spec: DbSpec) -> AnswerTable:
         key = (spec.kind, spec.path)
-        if key not in rows_by_file:
+        if key not in coords_by_file:
             loader = load_range_db if spec.kind == "range" else load_point_db
             with _require_file(spec.path, f"database {spec.name}").open(encoding=INPUT_ENCODING) as fh:
-                rows_by_file[key] = answer_table(loader(fh, spec.name, null_coords), popmap).rows
-        return AnswerTable(spec.name, rows_by_file[key])
+                coords_by_file[key] = answer_table(loader(fh, spec.name, null_coords), popmap).coords
+        return AnswerTable(spec.name, coords_by_file[key])
 
     return table
 

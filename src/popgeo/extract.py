@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import median
 from typing import Optional, Sequence
@@ -56,22 +56,26 @@ class PoP:
     """A group of co-located interfaces of one AS.
 
     id is the numerically lowest core member address, which makes ids stable
-    across runs and input orderings.
+    across runs and input orderings. members() is ordered once, here, and
+    that order is no part of eq, hash or repr.
     """
 
     id: str
     asn: int
     core_members: frozenset[str]
     singleton_members: frozenset[str] = frozenset()
+    _members: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.core_members:
             raise ValueError("PoP without core members")
         if self.core_members & self.singleton_members:
             raise ValueError("core and singleton member sets overlap")
+        object.__setattr__(self, "_members", tuple(sort_ips(self.core_members | self.singleton_members)))
 
-    def members(self) -> frozenset[str]:
-        return self.core_members | self.singleton_members
+    def members(self) -> tuple[str, ...]:
+        """Every member, core and singleton, in numeric address order."""
+        return self._members
 
 
 @dataclass(frozen=True)
@@ -293,8 +297,10 @@ def _members(ips: list) -> frozenset[str]:
 
 
 def _pop(row: dict) -> PoP:
-    """One PoP of a map file; its id must be its numerically lowest core member."""
-    pop = PoP(row["id"], int(row["asn"]), _members(row["core_members"]), _members(row.get("singleton_members", [])))
+    """One PoP of a map file; its asn must be a JSON integer and its id its numerically lowest core member."""
+    if type(row["asn"]) is not int:  # bool is an int subclass; 1.5, true and "65000" are refused alike
+        raise TypeError(f"asn {row['asn']!r} is not an integer")
+    pop = PoP(row["id"], row["asn"], _members(row["core_members"]), _members(row.get("singleton_members", [])))
     if pop.id != min(pop.core_members, key=ip_to_int):
         raise ValueError(f"PoP id {pop.id!r} is not its lowest core member")
     return pop

@@ -9,10 +9,11 @@ Range rows stay in file order, and one pass over them resolves a sorted
 address list: each row overwrites the answers of the addresses it covers, so
 later lines win without an interval index.
 
-Readers take a PoP's answers through `answers(pop)`: all of
-`pop.members()` in numeric address order, each with a coordinate or None. A
-GeoDatabase resolves them; an AnswerTable holds them, built with one resolve
-per database over every member of a PoP map, and answers without resolving.
+Readers take a PoP's answers through `answers(pop)`: each of `pop.members()`,
+in the numeric order the PoP keeps, with a coordinate or None. A GeoDatabase
+resolves them; an AnswerTable looks them up in one address -> coordinate
+mapping per database file, resolved once over every member of a PoP map. The
+PoP decides which members count and in what order; the table only answers.
 
 synth_db builds a point database from a planted PoP map, with controllable
 positional noise, null probability and a headquarters-style pin of a fraction
@@ -83,8 +84,8 @@ class GeoDatabase:
         return self.resolve([ip_to_int(ip)])[0]
 
     def answers(self, pop) -> tuple[Answer, ...]:
-        """pop.members() in numeric address order, each with its coordinate or None."""
-        members = sorted(pop.members(), key=ip_to_int)
+        """Each of pop.members(), in its numeric address order, with its coordinate or None."""
+        members = pop.members()
         records = self.resolve([ip_to_int(ip) for ip in members])
         return tuple((ip, rec.coord) for ip, rec in zip(members, records))
 
@@ -96,37 +97,30 @@ class GeoDatabase:
 
 
 class AnswerTable:
-    """One database's answers for every member of a PoP map, resolved once.
+    """One database's coordinate (None on a null reply) for every member of a PoP map.
 
-    rows maps each PoP id to its core answers and to all its answers, both
-    as GeoDatabase.answers returns them. Built over the singleton map, the
-    table serves readers of either map: a PoP without singleton members, as
-    in the core map, gets the core answers. Two names on one database file
-    share one rows mapping.
+    coords maps each member address to its coordinate, resolved once. Built
+    over the singleton map, the table answers any PoP whose members it holds,
+    so readers of the core map use it too. Two names on one database file
+    share one coords mapping.
     """
 
-    __slots__ = ("name", "rows")
+    __slots__ = ("name", "coords")
 
-    def __init__(self, name: str, rows: Mapping[str, tuple[tuple[Answer, ...], tuple[Answer, ...]]]):
+    def __init__(self, name: str, coords: Mapping[str, Optional[GeoCoord]]):
         self.name = name
-        self.rows = rows
+        self.coords = coords
 
     def answers(self, pop) -> tuple[Answer, ...]:
         """GeoDatabase.answers for pop, read from the table."""
-        core, full = self.rows[pop.id]
-        return full if pop.singleton_members else core
+        coords = self.coords
+        return tuple([(ip, coords[ip]) for ip in pop.members()])
 
 
 def answer_table(db: GeoDatabase, popmap) -> AnswerTable:
     """db's answers for every member of popmap, from one resolve over all of them."""
     ips = popmap.member_ips()
-    coord_of = {ip: rec.coord for ip, rec in zip(ips, db.resolve([ip_to_int(ip) for ip in ips]))}
-    rows = {}
-    for pop in popmap.pops:
-        full = tuple((ip, coord_of[ip]) for ip in sorted(pop.members(), key=ip_to_int))
-        core = tuple(a for a in full if a[0] in pop.core_members) if pop.singleton_members else full
-        rows[pop.id] = (core, full)
-    return AnswerTable(db.name, rows)
+    return AnswerTable(db.name, {ip: rec.coord for ip, rec in zip(ips, db.resolve([ip_to_int(ip) for ip in ips]))})
 
 
 # what every reader of answers accepts
@@ -235,7 +229,7 @@ def synth_db(
     points = {}
     for pop in sorted(popmap.pops, key=lambda p: ip_to_int(p.id)):
         center = truth[pop.id]
-        for ip in sorted(pop.members(), key=ip_to_int):
+        for ip in pop.members():
             if ip in pinned:
                 coord = hq_coord
             elif noise_km > 0:

@@ -18,7 +18,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import median
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from .iputil import ip_to_int
 
@@ -73,8 +73,7 @@ def _check_delay(delay_ms: float) -> None:
         raise ValueError(f"negative delay {delay_ms}")
 
 
-@dataclass(frozen=True)
-class DelayEdge:
+class DelayEdge(NamedTuple):
     """Aggregate of all observations for one directed (src, dst) pair.
 
     median_delay_ms is the exact median of the observed delays (mean of the

@@ -136,7 +136,7 @@ def generate_scenario(spec: SynthSpec) -> Scenario:
     observations: list[DelayObservation] = []
 
     def _emit(src: str, dst: str, delay: float, times: int):
-        observations.extend(DelayObservation(src, dst, delay) for _ in range(times))
+        observations.extend([DelayObservation(src, dst, delay)] * times)
 
     for pop in pops:
         for parent in parents_of[pop.id]:

@@ -294,6 +294,15 @@ def _missing_asn(text):
     return json.dumps(rows)
 
 
+def _asn_set_to(value):
+    def corrupt(text):
+        rows = json.loads(text)
+        rows[0]["asn"] = value
+        return json.dumps(rows)
+
+    return corrupt
+
+
 def _truncated_json(text):
     return text[: len(text) // 2]
 
@@ -453,8 +462,28 @@ class TestErrors:
     @pytest.mark.parametrize("command", ["locate", "evaluate"])
     @pytest.mark.parametrize(
         "corrupt",
-        [_bad_member, _numeric_member, _missing_asn, _truncated_json, _duplicate_id, _id_not_lowest],
-        ids=["bad_member", "numeric_member", "missing_asn", "truncated_json", "duplicate_id", "id_not_lowest"],
+        [
+            _bad_member,
+            _numeric_member,
+            _missing_asn,
+            _truncated_json,
+            _duplicate_id,
+            _id_not_lowest,
+            _asn_set_to(65000.5),
+            _asn_set_to(True),
+            _asn_set_to("65000"),
+        ],
+        ids=[
+            "bad_member",
+            "numeric_member",
+            "missing_asn",
+            "truncated_json",
+            "duplicate_id",
+            "id_not_lowest",
+            "fractional_asn",
+            "boolean_asn",
+            "string_asn",
+        ],
     )
     def test_malformed_popmap_is_input_error(self, workdir, corrupt, command):
         tmp, cfg = workdir

@@ -18,6 +18,7 @@ from popgeo.extract import (
     threshold_sweep,
 )
 from popgeo.ingest import aggregate_edges, load_ip2as
+from popgeo.iputil import int_to_ip, ip_to_int
 from popgeo.synth import ip2as_lines
 
 from conftest import edge
@@ -454,3 +455,17 @@ class TestPopMapSerialization:
                     PoP("10.0.0.2", 1, frozenset({"10.0.0.2", "10.0.0.3"})),
                 )
             )
+
+
+class TestPopMembers:
+    @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=40, unique=True), st.randoms())
+    def test_members_in_numeric_order(self, values, rnd):
+        ips = [int_to_ip(v) for v in values]  # drawn unordered, so string order differs from numeric order too
+        cut = rnd.randint(1, len(ips))
+        core, singletons = frozenset(ips[:cut]), frozenset(ips[cut:])
+        pop = PoP(min(core, key=ip_to_int), 7, core, singletons)
+        assert pop.members() == tuple(sorted(core | singletons, key=ip_to_int))
+        assert replace(pop, singleton_members=frozenset()).members() == tuple(sorted(core, key=ip_to_int))
+        # the cached order is derived from the fields, so it takes no part in hash or repr
+        assert hash(pop) == hash((pop.id, 7, core, singletons))
+        assert repr(pop) == f"PoP(id={pop.id!r}, asn=7, core_members={core!r}, singleton_members={singletons!r})"
