@@ -325,18 +325,20 @@ def _table_loader(cfg: RunConfig, popmap: PopMap) -> Callable[[DbSpec], AnswerTa
 
     Each (kind, path) file is loaded and queried once, whichever spec names
     it first; every later spec on the file gets that address -> coordinate
-    mapping under its own name. The null-coords file is read once, here.
+    mapping, and the PoP records read from it, under its own name. The
+    null-coords file is read once, here.
     """
     null_coords = _null_coords(cfg)
-    coords_by_file: dict[tuple[str, Path], Mapping] = {}
+    by_file: dict[tuple[str, Path], AnswerTable] = {}
 
     def table(spec: DbSpec) -> AnswerTable:
         key = (spec.kind, spec.path)
-        if key not in coords_by_file:
+        if key not in by_file:
             loader = load_range_db if spec.kind == "range" else load_point_db
             with _require_file(spec.path, f"database {spec.name}").open(encoding=INPUT_ENCODING) as fh:
-                coords_by_file[key] = answer_table(loader(fh, spec.name, null_coords), popmap).coords
-        return AnswerTable(spec.name, coords_by_file[key])
+                by_file[key] = answer_table(loader(fh, spec.name, null_coords), popmap)
+        first = by_file[key]
+        return AnswerTable(spec.name, first.coords, first.records)
 
     return table
 
@@ -440,13 +442,25 @@ def _regions_for(cfg: RunConfig) -> list[ev.RegionSpec]:
     return regions
 
 
+def _deviations(popmap: PopMap, dbs, cross: dict) -> dict[str, dict[str, Optional[list[tuple[str, float]]]]]:
+    """Each database's (address, deviation_km) rows per PoP; None where the cross vote is null."""
+    from . import evaluate as ev
+
+    centres = [(pop, cross[pop.id].coord) for pop in popmap.pops]
+    return {
+        db.name: {pop.id: None if centre is None else ev.pop_deviations(pop, db, centre) for pop, centre in centres}
+        for db in dbs
+    }
+
+
 def _per_db_reports(
-    cfg: RunConfig, popmap: PopMap, dbs, votes: dict, agreements: dict, suffix: str, out: Path
+    cfg: RunConfig, popmap: PopMap, dbs, votes: dict, agreements: dict, deviations: dict, suffix: str, out: Path
 ) -> dict:
     """Convergence, agreement and deviation outputs for one PoP map subset.
 
-    votes come from _votes and agreements from _agreements, both over a map
-    that holds every PoP of popmap.
+    votes, agreements and deviations come from _votes, _agreements and
+    _deviations over a map that holds every PoP of popmap; this only selects
+    popmap's PoPs from them.
     """
     from . import evaluate as ev
 
@@ -455,8 +469,8 @@ def _per_db_reports(
         log.warning("PoP map%s is empty; emitting header-only reports", suffix or "")
 
     for db in dbs:
-        own = votes[db.name]
-        conv = ev.convergence_cdf(db.name, [own[pop.id] for pop in popmap.pops])
+        own = [votes[db.name][pop.id] for pop in popmap.pops]
+        conv = ev.convergence_cdf(db.name, own)
         _write_cdf_csv(out / f"convergence_{db.name}{suffix}.csv", "range_km", conv)
         counters["convergence_tail"][db.name] = conv.tail_count
         per_pop = [agreements[db.name][pop.id] for pop in popmap.pops]
@@ -464,11 +478,15 @@ def _per_db_reports(
         for radius, series in zip(cfg.agreement_radii_km, cdfs):
             _write_cdf_csv(out / f"agreement_{db.name}_{radius:g}{suffix}.csv", "agreement", series)
             counters["agreement_excluded"][f"{db.name}:{radius:g}"] = series.excluded_count
-        deviation = ev.deviation_samples(popmap, db, votes["all"], own)
-        _write_cdf_csv(out / f"deviation_{db.name}{suffix}.csv", "deviation_km", deviation.cdf())
-        counters["deviation_skipped"][db.name] = deviation.skipped_pops
+        rows = [deviations[db.name][pop.id] for pop in popmap.pops]
         scatter = [("ip", "range_km", "deviation_km")]
-        scatter += [(s.ip, s.range_km, s.deviation_km) for s in deviation.samples]
+        for loc, pop_rows in zip(own, rows):
+            if pop_rows is not None:
+                own_range = loc.range_km if loc.majority_found else None
+                scatter += [(ip, own_range, d) for ip, d in pop_rows]
+        cdf = ev.deviation_cdf(db.name, [row[2] for row in scatter[1:]])
+        _write_cdf_csv(out / f"deviation_{db.name}{suffix}.csv", "deviation_km", cdf)
+        counters["deviation_skipped"][db.name] = rows.count(None)
         write_records(out / f"range_vs_deviation_{db.name}{suffix}.csv", scatter)
     return counters
 
@@ -504,7 +522,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
     votes = _votes(cfg, popmap, dbs)
     agreements = _agreements(cfg, popmap, dbs)
-    summary.update(_per_db_reports(cfg, popmap, dbs, votes, agreements, "", out))
+    deviations = _deviations(popmap, dbs, votes["all"])
+    summary.update(_per_db_reports(cfg, popmap, dbs, votes, agreements, deviations, "", out))
 
     matrix = None
     if len(dbs) >= 2 and popmap.pops:
@@ -517,16 +536,14 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             "values": [list(row) for row in matrix.values],
         }
 
-    anomalies = []
-    for db in dbs:
-        anomalies += ev.detect_default_location(
-            db,
-            popmap,
-            prefix_map,
-            min_ips=cfg.anomaly_min_ips,
-            share_threshold=cfg.anomaly_share_threshold,
-            rounding_deg=cfg.anomaly_rounding_deg,
-        )
+    anomalies = ev.detect_default_locations(
+        dbs,
+        popmap,
+        prefix_map,
+        min_ips=cfg.anomaly_min_ips,
+        share_threshold=cfg.anomaly_share_threshold,
+        rounding_deg=cfg.anomaly_rounding_deg,
+    )
     columns = ("db", "asn", "lat", "lon", "share", "ip_count")
     rows = [(a.db_name, a.asn, a.dominant_coord.lat, a.dominant_coord.lon, a.share, a.ip_count) for a in anomalies]
     write_records(out / "anomalies.csv", [columns, *rows])
@@ -543,7 +560,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         summary["regions"] = {}
         for region in regions:
             subset = ev.filter_by_region(popmap, votes["all"].values(), region)
-            counters = _per_db_reports(cfg, subset, dbs, votes, agreements, f"__{region.name}", out)
+            counters = _per_db_reports(cfg, subset, dbs, votes, agreements, deviations, f"__{region.name}", out)
             counters["pop_count"] = len(subset.pops)
             summary["regions"][region.name] = counters
 

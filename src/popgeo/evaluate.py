@@ -4,21 +4,32 @@ Covers null-reply accounting, per-database convergence and agreement CDFs,
 per-IP deviation from the cross-database majority location, pairwise database
 correlation, default-location (headquarters) anomaly detection, snapshot
 churn, and regional breakdowns. Everything here is deterministic and pure
-over its inputs. Every metric reads a database's answers through
-`answers(pop)`, from a GeoDatabase or from its AnswerTable, and none
-queries the database itself. A metric counts every member of the map it is
-given; the core map is `PopMap.core()` of the singleton map.
+over its inputs. A metric counts every member of the map it is given; the
+core map is `PopMap.core()` of the singleton map.
+
+Every metric folds over records: `db.record(pop)` is the PopAnswers of one
+PoP in one database, with its coordinates in member order, its null count,
+its distinct answers (unit vectors computed once) and their coordinate
+median. An AnswerTable builds each record on the first request and keeps
+it, so null statistics, the votes, agreement, deviation, anomalies,
+correlation and churn all read a PoP's answers once per database file and
+map. Agreement computes one row of dot products per candidate centre and
+decides every radius from it. Deviation rows are computed once per PoP
+against the cross-database vote (pop_deviations); a region selects the rows
+of its PoPs and computes nothing again.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import compress
+from operator import and_, ge, gt
 from statistics import StatisticsError, correlation
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .extract import PopMap
-from .geo import DistinctPoints, GeoCoord, coordinate_median, distances_km, haversine_km
+from .geo import GeoCoord, distances_km, haversine_km
 from .geodb import AnswerSource
 from .ingest import PrefixMap, read_records
 from .locate import PoPLocation
@@ -65,13 +76,10 @@ class CdfSeries:
     ) -> "CdfSeries":
         ordered = sorted(values)
         total = len(ordered) + tail_count
-        points = []
-        seen = 0
-        for i, x in enumerate(ordered):
-            seen += 1
-            if i + 1 < len(ordered) and ordered[i + 1] == x:
-                continue
-            points.append((x, seen / total))
+        # one point per distinct x: its last position gives the cumulative count
+        points = [
+            (x, (i + 1) / total) for i, (x, after) in enumerate(zip(ordered, ordered[1:] + [None])) if x != after
+        ]
         return CdfSeries(label, tuple(points), total, tail_count, excluded_count)
 
     def fraction_at_or_below(self, x: float) -> float:
@@ -89,9 +97,9 @@ class CdfSeries:
     def validate(self) -> None:
         xs = [p[0] for p in self.points]
         fracs = [p[1] for p in self.points]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
+        if any(map(ge, xs, xs[1:])):
             raise ValueError(f"{self.label}: x values not strictly increasing")
-        if any(b < a for a, b in zip(fracs, fracs[1:])):
+        if any(map(gt, fracs, fracs[1:])):
             raise ValueError(f"{self.label}: fractions decrease")
         if fracs and fracs[-1] > 1.0 + 1e-12:
             raise ValueError(f"{self.label}: final fraction above 1")
@@ -174,11 +182,10 @@ def null_stats(popmap_core: PopMap, popmap_all: PopMap, db: AnswerSource) -> Nul
     def _pcts(popmap: PopMap) -> tuple[float, float]:
         total_ips = null_ips = null_pops = 0
         for pop in popmap.pops:
-            answers = db.answers(pop)
-            nulls = sum(1 for _, coord in answers if coord is None)
-            total_ips += len(answers)
-            null_ips += nulls
-            if nulls == len(answers):
+            answers = db.record(pop)
+            total_ips += len(answers.coords)
+            null_ips += answers.nulls
+            if not answers.located:
                 null_pops += 1
         return 100.0 * null_ips / total_ips, 100.0 * null_pops / len(popmap.pops)
 
@@ -209,18 +216,26 @@ def pop_agreement(pop, db: AnswerSource, radii_km: Sequence[float]) -> Optional[
 
     Candidate centers are every distinct located answer plus the median of
     all of them. Identical answers are tested once and counted by
-    multiplicity. Returns one fraction per entry of radii_km, or None when
-    the database is null on every member.
+    multiplicity. Each candidate's dot products are computed once, and every
+    radius is decided from that row; a radius that some candidate already
+    covers fully is not tested again. Returns one fraction per entry of
+    radii_km, or None when the database is null on every member.
     """
-    coords = [c for _, c in db.answers(pop) if c is not None]
-    if not coords:
+    record = db.record(pop)
+    located = len(record.located)
+    if not located:
         return None
-    answers = DistinctPoints(coords)
-    candidates = answers.points + [coordinate_median(coords)]
-    return tuple(
-        max(answers.count_within_km(cand, radius) for cand in candidates) / len(coords)
-        for radius in radii_km
-    )
+    answers = record.distinct
+    best = dict.fromkeys(radii_km, 0)
+    open_radii = list(best)  # the radii no candidate has yet covered fully
+    for i, cand in enumerate([record.median] + answers.points):
+        row = answers.point_dots(i - 1) if i else record.median_dots
+        for radius, count in zip(open_radii, answers.counts_in(row, cand, open_radii)):
+            best[radius] = max(best[radius], count)
+        open_radii = [radius for radius in open_radii if best[radius] < located]
+        if not open_radii:
+            break
+    return tuple(best[radius] / located for radius in radii_km)
 
 
 def agreement_cdf(
@@ -268,9 +283,25 @@ class DeviationReport:
     skipped_pops: int
 
     def cdf(self) -> CdfSeries:
-        return CdfSeries.from_values(
-            f"deviation:{self.db_name}", [s.deviation_km for s in self.samples]
-        )
+        return deviation_cdf(self.db_name, [s.deviation_km for s in self.samples])
+
+
+def deviation_cdf(db_name: str, deviations_km: Iterable[float]) -> CdfSeries:
+    """CDF over a database's located answers of their distance from the cross-database vote."""
+    return CdfSeries.from_values(f"deviation:{db_name}", deviations_km)
+
+
+def pop_deviations(pop, db: AnswerSource, centre: GeoCoord) -> list[tuple[str, float]]:
+    """(address, haversine_km(answer, centre)) for each located answer of pop, in member order.
+
+    Each distinct answer's distance is computed once and repeated for every
+    address that gave it.
+    """
+    record = db.record(pop)
+    answers = record.distinct
+    to_centre = distances_km(answers.points, centre)
+    ips = [ip for ip, coord in zip(pop.members(), record.coords) if coord is not None]
+    return list(zip(ips, [to_centre[i] for i in answers.index]))
 
 
 def deviation_samples(
@@ -294,14 +325,13 @@ def deviation_samples(
             continue
         own_loc = own[pop.id]
         own_range = own_loc.range_km if own_loc.majority_found else None
-        located = [a for a in db_under_test.answers(pop) if a[1] is not None]
-        distances = distances_km([coord for _, coord in located], cross.coord)
-        samples += [DeviationSample(ip, d, own_range) for (ip, _), d in zip(located, distances)]
+        samples += [DeviationSample(ip, d, own_range) for ip, d in pop_deviations(pop, db_under_test, cross.coord)]
     return DeviationReport(db_under_test.name, tuple(samples), skipped)
 
 
 def _pearson(xs: list[float], ys: list[float]) -> Optional[float]:
-    if len(xs) < 2:
+    # xs and ys hold latitudes, then longitudes: two values per address
+    if len(xs) < 4:
         return None
     try:
         return correlation(xs, ys)
@@ -318,39 +348,33 @@ def correlation_matrix(
     its longitude sequence. By default a pair is compared only on IPs both
     databases locate; with include_nulls, null answers enter as a (0, 0)
     sentinel, which drags correlations down where coverage differs.
-    Zero-variance vectors make a coefficient undefined (None).
+    Zero-variance vectors, and vectors of fewer than two addresses, make a
+    coefficient undefined (None), on the diagonal too.
     """
     if len(dbs) < 2:
         raise ValueError("correlation needs at least two databases")
-    answers = [
-        [coord for pop in popmap.pops for _, coord in db.answers(pop)]
-        for db in dbs
-    ]
+    # per database, once: every member's answer as lat and lon lists (a null
+    # as the (0, 0) sentinel) and whether it is located
+    lats, lons, located = [], [], []
+    for db in dbs:
+        coords = [coord for pop in popmap.pops for coord in db.record(pop).coords]
+        lats.append([0.0 if c is None else c.lat for c in coords])
+        lons.append([0.0 if c is None else c.lon for c in coords])
+        located.append([c is not None for c in coords])
 
-    def _vectors(i: int, j: int) -> tuple[list[float], list[float]]:
-        lat_i, lon_i, lat_j, lon_j = [], [], [], []
-        for a, b in zip(answers[i], answers[j]):
-            if include_nulls:
-                pa = (0.0, 0.0) if a is None else (a.lat, a.lon)
-                pb = (0.0, 0.0) if b is None else (b.lat, b.lon)
-            elif a is None or b is None:
-                continue
-            else:
-                pa, pb = (a.lat, a.lon), (b.lat, b.lon)
-            lat_i.append(pa[0])
-            lon_i.append(pa[1])
-            lat_j.append(pb[0])
-            lon_j.append(pb[1])
-        return lat_i + lon_i, lat_j + lon_j
+    def _vector(i: int, kept: Optional[list[bool]]) -> list[float]:
+        if kept is None:
+            return lats[i] + lons[i]
+        return list(compress(lats[i], kept)) + list(compress(lons[i], kept))
 
     n = len(dbs)
     values: list[list[Optional[float]]] = [[None] * n for _ in range(n)]
     for i in range(n):
-        vec_i, _ = _vectors(i, i)
-        values[i][i] = 1.0 if len(set(vec_i)) > 1 else None
+        vec_i = _vector(i, None if include_nulls else located[i])
+        values[i][i] = 1.0 if len(vec_i) >= 4 and len(set(vec_i)) > 1 else None
         for j in range(i + 1, n):
-            vi, vj = _vectors(i, j)
-            values[i][j] = values[j][i] = _pearson(vi, vj)
+            kept = None if include_nulls else list(map(and_, located[i], located[j]))
+            values[i][j] = values[j][i] = _pearson(_vector(i, kept), _vector(j, kept))
     return CorrelationMatrix(
         tuple(db.name for db in dbs), tuple(tuple(row) for row in values), include_nulls
     )
@@ -371,30 +395,57 @@ def detect_default_location(
     share_threshold of at least min_ips answers. Headquarters-default
     databases show up here.
     """
-    per_as: dict[int, Counter] = defaultdict(Counter)
-    for pop in popmap.pops:
-        for ip, coord in db.answers(pop):
-            if coord is None:
-                continue
-            asn = prefix_map.lookup(ip) if prefix_map is not None else None
-            if asn is None:
-                asn = pop.asn
-            key = (round(coord.lat / rounding_deg), round(coord.lon / rounding_deg))
-            per_as[asn][key] += 1
+    return detect_default_locations([db], popmap, prefix_map, min_ips, share_threshold, rounding_deg)
 
+
+def detect_default_locations(
+    dbs: Sequence[AnswerSource],
+    popmap: PopMap,
+    prefix_map: Optional[PrefixMap] = None,
+    min_ips: int = 50,
+    share_threshold: float = 0.8,
+    rounding_deg: float = 0.01,
+) -> list[AnomalyReport]:
+    """detect_default_location of each database in turn, with each member's AS resolved once.
+
+    A member's AS is the prefix map's, or its PoP's where the prefix map has
+    none. Each distinct answer of a PoP is bucketed once.
+    """
+
+    def as_of(pop, ip: str) -> int:
+        asn = None if prefix_map is None else prefix_map.lookup(ip)
+        return pop.asn if asn is None else asn
+
+    member_asns = [[as_of(pop, ip) for ip in pop.members()] for pop in popmap.pops]
+    # the AS of every member of a PoP, when they share one
+    pop_asns = [asns[0] if len(set(asns)) == 1 else None for asns in member_asns]
     reports = []
-    for asn in sorted(per_as):
-        counts = per_as[asn]
-        total = sum(counts.values())
-        if total < min_ips:
-            continue
-        top_key, top_count = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        share = top_count / total
-        if share >= share_threshold:
-            # a bucket next to a pole can round past it (129 * 0.7 = 90.3)
-            lat = min(90.0, max(-90.0, top_key[0] * rounding_deg))
-            coord = GeoCoord(lat, top_key[1] * rounding_deg)
-            reports.append(AnomalyReport(db.name, asn, coord, share, total))
+    for db in dbs:
+        per_as: dict[int, Counter] = defaultdict(Counter)
+        for pop, asns, pop_asn in zip(popmap.pops, member_asns, pop_asns):
+            record = db.record(pop)
+            answers = record.distinct
+            keys = [(round(p.lat / rounding_deg), round(p.lon / rounding_deg)) for p in answers.points]
+            if pop_asn is not None:
+                per_as[pop_asn].update(map(keys.__getitem__, answers.index))
+                continue
+            located_asns = [asn for asn, coord in zip(asns, record.coords) if coord is not None]
+            for asn, i in zip(located_asns, answers.index):
+                per_as[asn][keys[i]] += 1
+
+        for asn in sorted(per_as):
+            counts = per_as[asn]
+            total = sum(counts.values())
+            if total < min_ips:
+                continue
+            top_count = max(counts.values())
+            top_key = min(key for key, n in counts.items() if n == top_count)
+            share = top_count / total
+            if share >= share_threshold:
+                # a bucket next to a pole can round past it (129 * 0.7 = 90.3)
+                lat = min(90.0, max(-90.0, top_key[0] * rounding_deg))
+                coord = GeoCoord(lat, top_key[1] * rounding_deg)
+                reports.append(AnomalyReport(db.name, asn, coord, share, total))
     return reports
 
 
@@ -410,10 +461,10 @@ def churn(
         raise ValueError("churn over an empty PoP map")
     changed = total = 0
     for pop in popmap.pops:
-        old = db_old.answers(pop)
-        new = db_new.answers(pop)
+        old = db_old.record(pop).coords
+        new = db_new.record(pop).coords
         total += len(old)
-        for (_, a), (_, b) in zip(old, new):
+        for a, b in zip(old, new):
             if (a is None) != (b is None):
                 changed += 1
             elif a is not None and haversine_km(a, b) > epsilon_km:

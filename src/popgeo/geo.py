@@ -9,9 +9,10 @@ haversine_km.
 
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from statistics import median
-from typing import Iterator, Optional, Sequence
+from functools import lru_cache
+from typing import Optional, Sequence
 
 EARTH_RADIUS_KM = 6371.0
 KM_PER_DEGREE = 111.0
@@ -90,13 +91,18 @@ def _unit_vector(p: GeoCoord) -> tuple[float, float, float]:
 CHORD_MARGIN = 1e-9
 
 
-def _cos_radius(radius_km: float) -> float:
-    """The dot-product threshold of a radius; 2.0 (above every dot product) when negative."""
+@lru_cache(maxsize=1024)
+def _chord_band(radius_km: float) -> tuple[float, float]:
+    """The dot products above which a point is inside radius_km, and below which it is outside.
+
+    Both sit CHORD_MARGIN from cos(radius_km / R); a negative radius has
+    both above every dot product. Kept per radius, since the vote and the
+    agreement test a few radii many times.
+    """
     angle = radius_km / EARTH_RADIUS_KM
-    if angle < 0:
-        return 2.0
     # beyond half the circumference every point is inside; cos(pi) = -1 keeps it so
-    return math.cos(min(angle, math.pi))
+    threshold = 2.0 if angle < 0 else math.cos(min(angle, math.pi))
+    return threshold + CHORD_MARGIN, threshold - CHORD_MARGIN
 
 
 class DistinctPoints:
@@ -104,8 +110,9 @@ class DistinctPoints:
 
     points are the distinct coordinates in first-seen order and counts their
     multiplicities; index[i] is the position in points of the i-th input.
-    within_km tests each distinct point once; count_within_km weighs the
-    results by multiplicity.
+    Radius tests run on a dots row: the dot products of a centre's unit
+    vector with every point's, computed once per centre and shared by every
+    radius. Each point's unit vector is computed once, for the first row.
     """
 
     __slots__ = ("points", "counts", "index", "_vectors")
@@ -126,25 +133,95 @@ class DistinctPoints:
             self.index.append(i)
         self._vectors: Optional[list[tuple[float, float, float]]] = None
 
+    def _unit_vectors(self) -> list[tuple[float, float, float]]:
+        if self._vectors is None:
+            # _unit_vector of each point, inlined
+            radians, cos, sin = math.radians, math.cos, math.sin
+            self._vectors = vectors = []
+            for p in self.points:
+                lat = radians(p.lat)
+                lon = radians(p.lon)
+                c = cos(lat)
+                vectors.append((c * cos(lon), c * sin(lon), sin(lat)))
+        return self._vectors
+
+    def dots(self, centre: GeoCoord) -> list[float]:
+        """The dot product of each distinct point's unit vector with centre's."""
+        cx, cy, cz = _unit_vector(centre)
+        return [x * cx + y * cy + z * cz for x, y, z in self._unit_vectors()]
+
+    def point_dots(self, i: int) -> list[float]:
+        """dots(points[i]), from the point's own unit vector."""
+        vectors = self._unit_vectors()
+        cx, cy, cz = vectors[i]
+        return [x * cx + y * cy + z * cz for x, y, z in vectors]
+
+    def _input_dots(self, dots: Sequence[float]) -> list[float]:
+        """One dot per input coordinate, ascending."""
+        return sorted(dots if len(dots) == len(self.index) else [dots[i] for i in self.index])
+
+    def inside(self, dots: Sequence[float], centre: GeoCoord, radius_km: float) -> list[bool]:
+        """haversine_km(p, centre) <= radius_km for every distinct point, from centre's dots."""
+        above, below = _chord_band(radius_km)
+        # inside by chord, outside by chord, or too close to call: haversine_km decides
+        return [
+            dot > above or (dot >= below and haversine_km(p, centre) <= radius_km)
+            for p, dot in zip(self.points, dots)
+        ]
+
+    def counts_in(self, dots: Sequence[float], centre: GeoCoord, radii_km: Sequence[float]) -> list[int]:
+        """How many input coordinates lie within each radius of centre, from one sort of centre's dots."""
+        ordered = self._input_dots(dots)
+        n = len(ordered)
+        counts = []
+        for radius_km in radii_km:
+            above, below = _chord_band(radius_km)
+            not_above = bisect_right(ordered, above)
+            count = n - not_above  # inside by chord
+            if bisect_left(ordered, below) < not_above:
+                # some dots are too close to call: haversine_km decides those
+                count += sum(
+                    k
+                    for p, k, dot in zip(self.points, self.counts, dots)
+                    if below <= dot <= above and haversine_km(p, centre) <= radius_km
+                )
+            counts.append(count)
+        return counts
+
+    def nth_nearest_km(self, dots: Sequence[float], centre: GeoCoord, nth: int) -> float:
+        """The nth smallest haversine_km(p, centre) over the input coordinates, from 1.
+
+        Two points whose dots differ by more than CHORD_MARGIN lie in the
+        same order by haversine_km, so the points more than CHORD_MARGIN
+        above the nth largest dot all come first, those more than
+        CHORD_MARGIN below it all come after, and only the points in between
+        are measured.
+        """
+        ordered = self._input_dots(dots)
+        if not 0 < nth <= len(ordered):
+            raise ValueError(f"no {nth}th nearest of {len(ordered)} points")
+        pivot = ordered[-nth]  # the nth largest
+        above = pivot + CHORD_MARGIN
+        below = pivot - CHORD_MARGIN
+        band = [
+            (haversine_km(p, centre), n) for p, n, dot in zip(self.points, self.counts, dots) if below <= dot <= above
+        ]
+        if len(band) == 1:
+            return band[0][0]
+        seen = len(ordered) - bisect_right(ordered, above)
+        for distance, n in sorted(band):  # the band holds the nth largest dot, so the count gets there
+            seen += n
+            if seen >= nth:
+                break
+        return distance
+
     def within_km(self, centre: GeoCoord, radius_km: float) -> list[bool]:
         """haversine_km(p, centre) <= radius_km for every distinct point."""
-        return list(self._inside(centre, radius_km))
+        return self.inside(self.dots(centre), centre, radius_km)
 
     def count_within_km(self, centre: GeoCoord, radius_km: float) -> int:
         """How many input coordinates lie within radius_km of centre."""
-        return sum(n for n, inside in zip(self.counts, self._inside(centre, radius_km)) if inside)
-
-    def _inside(self, centre: GeoCoord, radius_km: float) -> Iterator[bool]:
-        if self._vectors is None:
-            self._vectors = [_unit_vector(p) for p in self.points]
-        cx, cy, cz = _unit_vector(centre)
-        threshold = _cos_radius(radius_km)
-        above = threshold + CHORD_MARGIN
-        below = threshold - CHORD_MARGIN
-        for p, (x, y, z) in zip(self.points, self._vectors):
-            dot = x * cx + y * cy + z * cz
-            # inside by chord, outside by chord, or too close to call: haversine_km decides
-            yield dot > above or (dot >= below and haversine_km(p, centre) <= radius_km)
+        return self.counts_in(self.dots(centre), centre, (radius_km,))[0]
 
 
 def deg_to_km(degrees: float) -> float:
@@ -177,6 +254,12 @@ def destination_point(origin: GeoCoord, bearing_rad: float, distance_km: float) 
     return GeoCoord(math.degrees(lat2), math.degrees(lon2))
 
 
+def _middle(ordered: list[float]) -> float:
+    """statistics.median of already sorted values, bit for bit."""
+    i = len(ordered) // 2
+    return ordered[i] if len(ordered) % 2 else (ordered[i - 1] + ordered[i]) / 2
+
+
 def coordinate_median(points: list[GeoCoord]) -> GeoCoord:
     """Component-wise median of a non-empty list of coordinates.
 
@@ -187,11 +270,11 @@ def coordinate_median(points: list[GeoCoord]) -> GeoCoord:
     """
     if not points:
         raise ValueError("coordinate_median of empty list")
-    lons = [p.lon for p in points]
-    if max(lons) - min(lons) > 180.0:
+    lons = sorted([p.lon for p in points])
+    if lons[-1] - lons[0] > 180.0:
         warnings.warn(
             "longitude span exceeds 180 degrees; arithmetic median is unreliable near the antimeridian",
             RuntimeWarning,
             stacklevel=2,
         )
-    return GeoCoord(median(p.lat for p in points), median(lons))
+    return GeoCoord(_middle(sorted([p.lat for p in points])), _middle(lons))

@@ -14,6 +14,9 @@ in the numeric order the PoP keeps, with a coordinate or None. A GeoDatabase
 resolves them; an AnswerTable looks them up in one address -> coordinate
 mapping per database file, resolved once over every member of a PoP map. The
 PoP decides which members count and in what order; the table only answers.
+`record(pop)` gives the same answers as one PopAnswers (coordinates, nulls,
+distinct points, median); an AnswerTable builds it on the first request and
+keeps it, so every metric over a PoP reads the table once.
 
 synth_db builds a point database from a planted PoP map, with controllable
 positional noise, null probability and a headquarters-style pin of a fraction
@@ -28,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .geo import GeoCoord, destination_point
+from .geo import DistinctPoints, GeoCoord, coordinate_median, destination_point
 from .ingest import read_records, write_records
 from .iputil import int_to_ip, ip_to_int, parse_ip
 
@@ -48,6 +51,50 @@ NULL_RECORD = GeoRecord()
 
 # one member address with a database's coordinate for it, None on a null reply
 Answer = tuple[str, Optional[GeoCoord]]
+
+
+class PopAnswers:
+    """One PoP's answers, read once: a coordinate, or None on a null reply, per answer.
+
+    coords are in the reader's order: pop.members() order for one database,
+    member-major for several. located drops the nulls and keeps the order.
+    distinct (identical answers held once, with their unit vectors), median
+    (the coordinate median of located) and median_dots are computed on first
+    use and kept, so the vote, the agreement and every report share them.
+    """
+
+    __slots__ = ("coords", "located", "_distinct", "_median", "_median_dots")
+
+    def __init__(self, coords: list[Optional[GeoCoord]]):
+        self.coords = coords
+        self.located = list(filter(None, coords))  # a GeoCoord is never false
+        self._distinct: Optional[DistinctPoints] = None
+        self._median: Optional[GeoCoord] = None
+        self._median_dots: Optional[list[float]] = None
+
+    @property
+    def nulls(self) -> int:
+        return len(self.coords) - len(self.located)
+
+    @property
+    def distinct(self) -> DistinctPoints:
+        if self._distinct is None:
+            self._distinct = DistinctPoints(self.located)
+        return self._distinct
+
+    @property
+    def median(self) -> GeoCoord:
+        """coordinate_median of the located answers; ValueError when there are none."""
+        if self._median is None:
+            self._median = coordinate_median(self.located)
+        return self._median
+
+    @property
+    def median_dots(self) -> list[float]:
+        """distinct.dots(median): the vote's first radius tests and the agreement's first row."""
+        if self._median_dots is None:
+            self._median_dots = self.distinct.dots(self.median)
+        return self._median_dots
 
 
 class GeoDatabase:
@@ -89,6 +136,10 @@ class GeoDatabase:
         records = self.resolve([ip_to_int(ip) for ip in members])
         return tuple((ip, rec.coord) for ip, rec in zip(members, records))
 
+    def record(self, pop) -> PopAnswers:
+        """pop's answers as one record, resolved afresh on every call."""
+        return PopAnswers([coord for _, coord in self.answers(pop)])
+
     def point_entries(self) -> list[tuple[str, GeoRecord]]:
         """Point-kind entries sorted by address, for serialization."""
         if self.kind != "point":
@@ -101,20 +152,36 @@ class AnswerTable:
 
     coords maps each member address to its coordinate, resolved once. Built
     over the singleton map, the table answers any PoP whose members it holds,
-    so readers of the core map use it too. Two names on one database file
-    share one coords mapping.
+    so readers of the core map use it too. records keeps each PoP's
+    PopAnswers, keyed by its members() tuple, so every reader of a PoP gets
+    the one record that a single answers() call filled. Two names on one
+    database file share one coords mapping and one records dict.
     """
 
-    __slots__ = ("name", "coords")
+    __slots__ = ("name", "coords", "records")
 
-    def __init__(self, name: str, coords: Mapping[str, Optional[GeoCoord]]):
+    def __init__(
+        self,
+        name: str,
+        coords: Mapping[str, Optional[GeoCoord]],
+        records: Optional[dict[tuple[str, ...], PopAnswers]] = None,
+    ):
         self.name = name
         self.coords = coords
+        self.records = {} if records is None else records
 
     def answers(self, pop) -> tuple[Answer, ...]:
         """GeoDatabase.answers for pop, read from the table."""
-        coords = self.coords
-        return tuple([(ip, coords[ip]) for ip in pop.members()])
+        members = pop.members()
+        return tuple(zip(members, map(self.coords.__getitem__, members)))
+
+    def record(self, pop) -> PopAnswers:
+        """pop's answers as one record, read with one answers() call per distinct member tuple."""
+        members = pop.members()
+        rec = self.records.get(members)
+        if rec is None:
+            rec = self.records[members] = PopAnswers([coord for _, coord in self.answers(pop)])
+        return rec
 
 
 def answer_table(db: GeoDatabase, popmap) -> AnswerTable:

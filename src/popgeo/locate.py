@@ -1,7 +1,9 @@
 """PoP localization by expanding-radius majority vote.
 
-Every (member IP, database) pair contributes one answer element, read from
-the database or from its answer table. The vote
+Every (member IP, database) pair contributes one answer, read from the
+database or from its answer table as one PopAnswers record per (PoP,
+database); several databases vote on their records' answers merged in
+member-major order, as collect_elements lays them out. The vote
 starts at the component-wise median of the located elements and grows a
 circle in fixed kilometer steps until it holds the configured majority of
 located elements; the location is then re-centered on the median of the
@@ -20,8 +22,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .extract import PopMap
-from .geo import DistinctPoints, GeoCoord, coordinate_median, distances_km
-from .geodb import AnswerSource
+from .geo import DistinctPoints, GeoCoord, coordinate_median
+from .geodb import AnswerSource, PopAnswers
 
 # tolerance when laying out the radius grid; keeps float division from
 # dropping the final step (555/1.11 lands just below 500)
@@ -117,30 +119,26 @@ def _located(elements: Sequence[IpElement]) -> list[GeoCoord]:
 
 
 def _majority_range(
-    answers: DistinctPoints, distances: Sequence[float], cfg: VoteConfig
+    answers: DistinctPoints, dots: Sequence[float], center: GeoCoord, cfg: VoteConfig
 ) -> tuple[float, bool]:
     # the winning radius is the first grid entry covering the need-th nearest
     # answer; scanning and counting per radius gives the same result
     need = math.ceil(cfg.majority_fraction * len(answers.index))
-    seen = 0
-    for critical, count in sorted(zip(distances, answers.counts)):
-        seen += count
-        if seen >= need:
-            break
     grid = radius_grid(cfg)
-    i = bisect_left(grid, critical)
+    i = bisect_left(grid, answers.nth_nearest_km(dots, center, need))
     if i == len(grid):
         return cfg.max_radius_km, False
     return grid[i], True
 
 
-def _in_range_median(
-    coords: Sequence[GeoCoord], answers: DistinctPoints, distances: Sequence[float], range_km: float
-) -> GeoCoord:
-    in_range = [c for c, i in zip(coords, answers.index) if distances[i] <= range_km]
+def _in_range(
+    coords: Sequence[GeoCoord], answers: DistinctPoints, dots: Sequence[float], center: GeoCoord, range_km: float
+) -> list[GeoCoord]:
+    inside = answers.inside(dots, center, range_km)
+    in_range = [c for c, i in zip(coords, answers.index) if inside[i]]
     if not in_range:
         raise ValueError("no located element within range")
-    return coordinate_median(in_range)
+    return in_range
 
 
 def majority_vote_range(
@@ -155,7 +153,7 @@ def majority_vote_range(
     if not coords:
         raise ValueError("majority vote needs at least one located element")
     answers = DistinctPoints(coords)
-    return _majority_range(answers, distances_km(answers.points, center), cfg)
+    return _majority_range(answers, answers.dots(center), center, cfg)
 
 
 def refine_location(
@@ -164,52 +162,73 @@ def refine_location(
     """Median of the located elements within range_km of center."""
     coords = _located(elements)
     answers = DistinctPoints(coords)
-    return _in_range_median(coords, answers, distances_km(answers.points, center), range_km)
+    return coordinate_median(_in_range(coords, answers, answers.dots(center), center, range_km))
 
 
-def locate_elements(pop_id: str, elements: Sequence[IpElement], cfg: VoteConfig) -> PoPLocation:
-    """Run the full vote over an already collected element grid.
+def locate_answers(pop_id: str, answers: PopAnswers, cfg: VoteConfig) -> PoPLocation:
+    """Run the full vote over one record of answers.
 
     Identical answers are tested once and counted by multiplicity; medians
-    still take every located answer.
+    still take every located answer. The record's median is the starting
+    centre, and every radius test around it reads one dots row.
     """
-    total = len(elements)
-    coords = _located(elements)
+    total = len(answers.coords)
+    coords = answers.located
     if not coords:
         return PoPLocation(pop_id, None, None, 0.0, 0.0, False)
     located = len(coords)
-    answers = DistinctPoints(coords)
+    points = answers.distinct
 
-    center = coordinate_median(coords)
-    distances = distances_km(answers.points, center)
-    found_range, found = _majority_range(answers, distances, cfg)
+    center = answers.median
+    center_dots = answers.median_dots
+    found_range, found = _majority_range(points, center_dots, center, cfg)
     if found:
-        coord = _in_range_median(coords, answers, distances, found_range)
-        to_coord = distances_km(answers.points, coord)
-        within = sum(n for n, d in zip(answers.counts, to_coord) if d <= found_range)
+        in_range = _in_range(coords, points, center_dots, center, found_range)
+        if len(in_range) == located:  # every answer is in range: the median stays
+            coord, within = center, located
+        else:
+            coord = coordinate_median(in_range)
+            within = points.count_within_km(coord, found_range)
         return PoPLocation(pop_id, coord, found_range, within / total, within / located, True)
 
     # No majority anywhere: fall back to the largest group of votes. The
     # median and every distinct located answer are candidate centers; the one
     # covering the most located elements within the radius cap wins, ties
-    # broken by (lat, lon). Equal coordinates cover the same elements, so
-    # among them the first candidate stands for all: the median, then the
-    # answer of the lowest address (elements come in address order).
+    # broken by (lat, lon). Candidates with equal keys share their coordinate
+    # and so cover the same elements.
     cap = cfg.max_radius_km
-    best_key = best_inside = None
-    for cand in [center] + answers.points:
-        inside = answers.within_km(cand, cap)
-        key = (-sum(n for n, ok in zip(answers.counts, inside) if ok), cand.lat, cand.lon)
+    best_key = best = best_dots = None
+    for i, cand in enumerate([center] + points.points):
+        dots = points.point_dots(i - 1) if i else center_dots
+        key = (-points.counts_in(dots, cand, (cap,))[0], cand.lat, cand.lon)
         if best_key is None or key < best_key:
-            best_key, best_inside = key, inside
-    coord = coordinate_median([c for c, i in zip(coords, answers.index) if best_inside[i]])
-    within = answers.count_within_km(coord, cap)
+            best_key, best, best_dots = key, cand, dots
+    inside = points.inside(best_dots, best, cap)
+    coord = coordinate_median([c for c, i in zip(coords, points.index) if inside[i]])
+    within = points.count_within_km(coord, cap)
     return PoPLocation(pop_id, coord, None, within / total, within / located, False)
+
+
+def locate_elements(pop_id: str, elements: Sequence[IpElement], cfg: VoteConfig) -> PoPLocation:
+    """Run the full vote over an already collected element grid."""
+    return locate_answers(pop_id, PopAnswers([e.coord for e in elements]), cfg)
+
+
+def _pop_answers(pop, dbs: Sequence[AnswerSource]) -> PopAnswers:
+    """The answers of every database for pop as one record, in collect_elements' order.
+
+    One database gives its own record; several give their records' answers
+    merged member-major, with no element built.
+    """
+    if len(dbs) == 1:
+        return dbs[0].record(pop)
+    rows = [db.record(pop).coords for db in dbs]
+    return PopAnswers([coord for by_db in zip(*rows) for coord in by_db])
 
 
 def locate_pop(pop, dbs: Sequence[AnswerSource], cfg: VoteConfig = VoteConfig()) -> PoPLocation:
     """Locate one PoP from the answers of one or more databases."""
-    return locate_elements(pop.id, collect_elements(pop, dbs), cfg)
+    return locate_answers(pop.id, _pop_answers(pop, dbs), cfg)
 
 
 def locate_popmap(

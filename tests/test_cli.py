@@ -893,6 +893,36 @@ class TestLazyImports:
         assert "popgeo.evaluate" not in loaded("locate", *config)
 
 
+class TestStageImportSets:
+    """No stage loads a popgeo module that it did not load before evaluate folded its reports."""
+
+    SHARED = {"cli", "extract", "ingest", "iputil", "geo", "geodb", "locate"}
+
+    def test_no_stage_loads_a_new_module(self, workdir):
+        tmp, cfg = workdir
+        run(cfg, "synth")
+        run(cfg, "extract")
+        probe = (
+            "import json, sys; from popgeo.cli import main; status = main(sys.argv[1:]); "
+            "print(json.dumps([status, sorted(m for m in sys.modules if m.startswith('popgeo.'))]))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        config = ["--config", str(tmp / "run.ini")]
+        expected = {
+            ("extract",): self.SHARED,
+            ("sweep", "--grid", "1,3"): self.SHARED,
+            ("evaluate",): self.SHARED | {"evaluate"},
+        }
+        for (command, *extra), allowed in expected.items():
+            done = subprocess.run(
+                [sys.executable, "-c", probe, command, *config, *extra],
+                cwd=tmp, env=env, capture_output=True, text=True, check=True,
+            )
+            status, modules = json.loads(done.stdout.splitlines()[-1])
+            assert status == 0
+            assert set(modules) <= {f"popgeo.{name}" for name in allowed}, command
+
+
 # a copy of each input format with a UTF-8 byte order mark reads as the plain file
 BOM = "\ufeff"
 BOM_FILES = [
