@@ -19,6 +19,7 @@ import logging
 import math
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
@@ -203,14 +204,13 @@ def build_run_config(args) -> RunConfig:
     from .locate import VoteConfig
 
     config_path = Path(args.config)
-    if not config_path.is_file():
-        raise InputError(f"config file not found: {config_path}")
     # a '%' in a value is literal; no section lends its keys to the others, so
     # [DEFAULT] is an ordinary section name, refused below
     cp = configparser.ConfigParser(interpolation=None, default_section="")
     cp.optionxform = str  # keep database names case-sensitive
     try:
-        cp.read_string(config_path.read_text(encoding=INPUT_ENCODING), source=str(config_path))
+        with _open_input(config_path, "config file") as fh:
+            cp.read_file(fh, source=str(config_path))
     except configparser.Error as exc:
         raise InputError(f"bad config: {exc}") from exc
 
@@ -313,10 +313,20 @@ def _require_file(path: Optional[Path], what: str) -> Path:
     return path
 
 
+@contextmanager
+def _open_input(path: Optional[Path], what: str):
+    """The input file open as text; a byte that is not UTF-8 fails it whole, as chunked decoding names no line."""
+    with _require_file(path, what).open(encoding=INPUT_ENCODING) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{what} {path} is not UTF-8: {exc.reason} {exc.object[exc.start:exc.end]!r}") from exc
+
+
 def _null_coords(cfg: RunConfig):
     if cfg.null_coords_file is None:
         return None
-    with _require_file(cfg.null_coords_file, "null-coords file").open(encoding=INPUT_ENCODING) as fh:
+    with _open_input(cfg.null_coords_file, "null-coords file") as fh:
         return load_null_coords(fh)
 
 
@@ -335,7 +345,7 @@ def _table_loader(cfg: RunConfig, popmap: PopMap) -> Callable[[DbSpec], AnswerTa
         key = (spec.kind, spec.path)
         if key not in by_file:
             loader = load_range_db if spec.kind == "range" else load_point_db
-            with _require_file(spec.path, f"database {spec.name}").open(encoding=INPUT_ENCODING) as fh:
+            with _open_input(spec.path, f"database {spec.name}") as fh:
                 by_file[key] = answer_table(loader(fh, spec.name, null_coords), popmap)
         first = by_file[key]
         return AnswerTable(spec.name, first.coords, first.records)
@@ -354,13 +364,11 @@ def _write_cdf_csv(path: Path, x_name: str, series: ev.CdfSeries) -> None:
 
 def _read_graph(cfg: RunConfig) -> tuple[list[DelayEdge], PrefixMap]:
     """The aggregated edges of the observations file, and the ip2as prefix map."""
-    obs_path = _require_file(cfg.observations, "observations file")
-    ip2as_path = _require_file(cfg.ip2as, "ip2as file")
-    with obs_path.open(encoding=INPUT_ENCODING) as fh:
+    with _open_input(cfg.observations, "observations file") as fh:
         edges = read_edges(fh)
     if not edges:
-        log.warning("observation file %s contains no observations", obs_path)
-    with ip2as_path.open(encoding=INPUT_ENCODING) as fh:
+        log.warning("observation file %s contains no observations", cfg.observations)
+    with _open_input(cfg.ip2as, "ip2as file") as fh:
         return edges, load_ip2as(fh)
 
 
@@ -431,7 +439,7 @@ def _regions_for(cfg: RunConfig) -> list[ev.RegionSpec]:
 
     named: dict[str, ev.RegionSpec] = {}
     if cfg.regions_file is not None:
-        with _require_file(cfg.regions_file, "regions file").open(encoding=INPUT_ENCODING) as fh:
+        with _open_input(cfg.regions_file, "regions file") as fh:
             named.update(ev.load_regions(fh))
     regions = []
     for name in cfg.regions:
@@ -505,7 +513,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     churn_pairs = [(label, table(old), table(new)) for label, old, new in cfg.churn_pairs]
     prefix_map = None
     if cfg.ip2as is not None:
-        with _require_file(cfg.ip2as, "ip2as file").open(encoding=INPUT_ENCODING) as fh:
+        with _open_input(cfg.ip2as, "ip2as file") as fh:
             prefix_map = load_ip2as(fh)
     regions = _regions_for(cfg)
     out = cfg.out_dir

@@ -20,7 +20,7 @@ from statistics import median
 from typing import Optional, Sequence
 
 from .ingest import INPUT_ENCODING, DelayEdge, ParseError, PrefixMap
-from .iputil import ip_to_int, sort_ips
+from .iputil import ip_to_int
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class PoP:
             raise ValueError("PoP without core members")
         if self.core_members & self.singleton_members:
             raise ValueError("core and singleton member sets overlap")
-        object.__setattr__(self, "_members", tuple(sort_ips(self.core_members | self.singleton_members)))
+        object.__setattr__(self, "_members", tuple(sorted(self.core_members | self.singleton_members, key=ip_to_int)))
 
     def members(self) -> tuple[str, ...]:
         """Every member, core and singleton, in numeric address order."""
@@ -80,24 +80,29 @@ class PoP:
 
 @dataclass(frozen=True)
 class PopMap:
-    """PoPs with disjoint members; every reader of a map counts all of pop.members()."""
+    """PoPs with disjoint members, ordered once with their address ints; every reader counts all of pop.members()."""
 
     pops: tuple[PoP, ...]
+    _ips: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _ints: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen: set[str] = set()
+        ip_of: dict[int, str] = {}  # one string per address int: inet_pton takes one spelling of each
         for pop in self.pops:
             for ip in pop.members():
-                if ip in seen:
+                if (value := ip_to_int(ip)) in ip_of:
                     raise ValueError(f"interface {ip} belongs to more than one PoP")
-                seen.add(ip)
+                ip_of[value] = ip
+        object.__setattr__(self, "_ints", tuple(sorted(ip_of)))
+        object.__setattr__(self, "_ips", tuple(map(ip_of.__getitem__, self._ints)))
 
-    def member_ips(self) -> list[str]:
-        """All member addresses across PoPs, numerically sorted."""
-        out: list[str] = []
-        for pop in self.pops:
-            out.extend(pop.members())
-        return sort_ips(out)
+    def member_ips(self) -> tuple[str, ...]:
+        """All member addresses across PoPs, in numeric order."""
+        return self._ips
+
+    def member_ints(self) -> tuple[int, ...]:
+        """The address int of each of member_ips(), ascending."""
+        return self._ints
 
     def core(self) -> "PopMap":
         """This map with every PoP's singleton members dropped."""
@@ -190,7 +195,7 @@ def attach_singletons(
         incident[e.dst].append(e)
 
     assigned: dict[int, set[str]] = defaultdict(set)
-    for ip in sort_ips(neighbors):
+    for ip in neighbors:  # each decision reads only the core map, so any order gives the same map
         if ip in member_of or (asn := prefix_map.lookup(ip)) is None:
             continue
         if len(neighbors[ip]) > cfg.singleton_max_links:
@@ -276,8 +281,8 @@ def popmap_to_obj(popmap: PopMap) -> list[dict]:
         {
             "id": pop.id,
             "asn": pop.asn,
-            "core_members": sort_ips(pop.core_members),
-            "singleton_members": sort_ips(pop.singleton_members),
+            "core_members": [ip for ip in pop.members() if ip in pop.core_members],
+            "singleton_members": [ip for ip in pop.members() if ip in pop.singleton_members],
         }
         for pop in popmap.pops
     ]
@@ -287,21 +292,12 @@ def save_popmap(popmap: PopMap, path) -> None:
     Path(path).write_text(json.dumps(popmap_to_obj(popmap), indent=2) + "\n", encoding="utf-8")
 
 
-def _members(ips: list) -> frozenset[str]:
-    """One member list of a map file; every member must parse with ip_to_int."""
-    for ip in ips:
-        if not isinstance(ip, str):
-            raise TypeError(f"member {ip!r} is not an address string")
-        ip_to_int(ip)
-    return frozenset(ips)
-
-
 def _pop(row: dict) -> PoP:
-    """One PoP of a map file; its asn must be a JSON integer and its id its numerically lowest core member."""
+    """One PoP of a map file: a JSON integer asn, members PoP can parse, and its lowest core member as id."""
     if type(row["asn"]) is not int:  # bool is an int subclass; 1.5, true and "65000" are refused alike
         raise TypeError(f"asn {row['asn']!r} is not an integer")
-    pop = PoP(row["id"], row["asn"], _members(row["core_members"]), _members(row.get("singleton_members", [])))
-    if pop.id != min(pop.core_members, key=ip_to_int):
+    pop = PoP(row["id"], row["asn"], frozenset(row["core_members"]), frozenset(row.get("singleton_members", [])))
+    if pop.id != next(ip for ip in pop.members() if ip in pop.core_members):
         raise ValueError(f"PoP id {pop.id!r} is not its lowest core member")
     return pop
 

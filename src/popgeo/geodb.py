@@ -12,7 +12,7 @@ later lines win without an interval index.
 Readers take a PoP's answers through `answers(pop)`: each of `pop.members()`,
 in the numeric order the PoP keeps, with a coordinate or None. A GeoDatabase
 resolves them; an AnswerTable looks them up in one address -> coordinate
-mapping per database file, resolved once over every member of a PoP map. The
+mapping per database file, resolved once over the member ints a map keeps. The
 PoP decides which members count and in what order; the table only answers.
 `record(pop)` gives the same answers as one PopAnswers (coordinates, nulls,
 distinct points, median); an AnswerTable builds it on the first request and
@@ -185,9 +185,9 @@ class AnswerTable:
 
 
 def answer_table(db: GeoDatabase, popmap) -> AnswerTable:
-    """db's answers for every member of popmap, from one resolve over all of them."""
-    ips = popmap.member_ips()
-    return AnswerTable(db.name, {ip: rec.coord for ip, rec in zip(ips, db.resolve([ip_to_int(ip) for ip in ips]))})
+    """db's answers for every member of popmap, from one resolve over the address ints the map keeps."""
+    records = db.resolve(popmap.member_ints())
+    return AnswerTable(db.name, {ip: rec.coord for ip, rec in zip(popmap.member_ips(), records)})
 
 
 # what every reader of answers accepts
@@ -286,10 +286,8 @@ def synth_db(
         hq_asn, hq_coord, fraction = hq_override
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("hq fraction outside [0, 1]")
-        as_ips = sorted(
-            (ip for pop in popmap.pops if pop.asn == hq_asn for ip in pop.members()),
-            key=ip_to_int,
-        )
+        as_members = {ip for pop in popmap.pops if pop.asn == hq_asn for ip in pop.members()}
+        as_ips = [ip for ip in popmap.member_ips() if ip in as_members]
         rng.shuffle(as_ips)
         pinned = set(as_ips[: round(fraction * len(as_ips))])
 

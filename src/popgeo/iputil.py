@@ -43,8 +43,3 @@ def int_to_ip(value: int) -> str:
         return inet_ntoa(value.to_bytes(4, "big"))
     except OverflowError:  # negative or above 2**32 - 1
         raise ValueError(f"not a 32-bit IPv4 address value: {value!r}") from None
-
-
-def sort_ips(ips) -> list[str]:
-    """Sort dotted-quad strings by numeric address value."""
-    return sorted(ips, key=ip_to_int)

@@ -202,8 +202,8 @@ def truth_obj(scenario: Scenario) -> list[dict]:
                 "asn": pop.asn,
                 "lat": coord.lat,
                 "lon": coord.lon,
-                "core_members": sorted(pop.core_members, key=ip_to_int),
-                "singleton_members": sorted(pop.singleton_members, key=ip_to_int),
+                "core_members": [ip for ip in pop.members() if ip in pop.core_members],
+                "singleton_members": [ip for ip in pop.members() if ip in pop.singleton_members],
             }
         )
     return rows

@@ -994,3 +994,38 @@ class TestByteOrderMark:
         outputs, warnings = _run_stages(tmp, name)
         assert warnings == plain_warnings
         assert outputs == {n: data for n, data in plain.items() if f"out/{n}" != name}
+
+
+# the first stage to read each input of _bom_inputs
+FIRST_READER = {
+    "config.ini": "extract",
+    "observations.csv": "extract",
+    "ip2as.csv": "extract",
+    "db_clean.csv": "locate",
+    "range_noisy.csv": "locate",
+    "null_coords.csv": "locate",
+    "regions.csv": "evaluate",
+    "out/popmap_singletons.json": "locate",
+}
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("name", BOM_FILES)
+    def test_latin1_byte_is_one_input_error_and_no_output(self, bom_plain, tmp_path, caplog, name):
+        inputs, _ = bom_plain
+        tmp = tmp_path / "latin1"
+        shutil.copytree(inputs, tmp)
+        cfg = tmp / "config.ini"
+        stages = ["extract", "locate", "evaluate"]
+        failing = FIRST_READER[name]
+        for command in stages[: stages.index(failing)]:
+            assert run(cfg, command) == 0
+        path = tmp / name
+        path.write_bytes(path.read_bytes() + "# Z\xfcrich\n".encode("latin-1"))
+        before = read_tree(tmp)
+        caplog.clear()
+        assert run(cfg, failing) == 1
+        assert read_tree(tmp) == before
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].exc_info is None  # one line, no traceback
+        assert str(path) in errors[0].getMessage()

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -469,3 +470,66 @@ class TestPopMembers:
         # the cached order is derived from the fields, so it takes no part in hash or repr
         assert hash(pop) == hash((pop.id, 7, core, singletons))
         assert repr(pop) == f"PoP(id={pop.id!r}, asn=7, core_members={core!r}, singleton_members={singletons!r})"
+
+
+# octets on both sides of the 1/2 and 2/3 digit steps, where string order and numeric order part
+OCTET = st.one_of(st.integers(0, 12), st.integers(95, 105), st.integers(250, 255))
+
+
+@st.composite
+def interleaved_pops(draw) -> list[PoP]:
+    """PoPs of AS 1 whose members are dealt from one drawn address list, so their ranges interleave.
+
+    Each PoP has at least two core members, enough for extract_pops to find
+    it as one component; the rest of the addresses join a PoP as core or
+    singleton members.
+    """
+    ips = draw(st.lists(st.tuples(OCTET, OCTET).map("10.0.{0[0]}.{0[1]}".format), min_size=2, max_size=40, unique=True))
+    count = draw(st.integers(1, len(ips) // 2))
+    rest = ips[2 * count :]
+    owners = draw(st.lists(st.integers(0, count - 1), min_size=len(rest), max_size=len(rest)))
+    singles = draw(st.lists(st.booleans(), min_size=len(rest), max_size=len(rest)))
+    core = [set(ips[2 * k : 2 * k + 2]) for k in range(count)]
+    single = [set() for _ in range(count)]
+    for ip, k, is_single in zip(rest, owners, singles):
+        (single if is_single else core)[k].add(ip)
+    return [PoP(min(c, key=ip_to_int), 1, frozenset(c), frozenset(s)) for c, s in zip(core, single)]
+
+
+def _edges_of(pops: list[PoP]) -> list:
+    """A chain of well-measured short edges through each PoP's core, and one thin edge per singleton."""
+    edges = []
+    for pop in pops:
+        chain = sorted(pop.core_members)  # string order: the chain's shape is not the members' order
+        edges += [edge(a, b, 1.0) for a, b in zip(chain, chain[1:])]
+        edges += [edge(ip, pop.id, 1.0, count=1) for ip in sorted(pop.singleton_members)]
+    return edges
+
+
+class TestMapOrder:
+    @given(interleaved_pops(), st.randoms())
+    def test_member_ips_are_the_numeric_order_of_every_member(self, tmp_path_factory, pops, rnd):
+        def ordered(members):
+            return tuple(sorted(members, key=ip_to_int))
+
+        every = ordered(ip for pop in pops for ip in pop.members())
+        cores = ordered(ip for pop in pops for ip in pop.core_members)
+        rnd.shuffle(pops)
+        direct = PopMap(tuple(pops))
+        extracted = extract_pops(_edges_of(pops), ONE_AS, DEFAULT, with_singletons=True)
+        path = tmp_path_factory.mktemp("map") / "popmap.json"
+        save_popmap(direct, path)
+        for popmap in (direct, extracted, load_popmap(path)):
+            assert set(popmap.pops) == set(pops)
+            assert popmap.member_ips() == every
+            assert popmap.member_ints() == tuple(map(ip_to_int, every))
+            assert popmap.core().member_ips() == cores
+            assert popmap.core().member_ints() == tuple(map(ip_to_int, cores))
+
+    @given(interleaved_pops().filter(lambda pops: len(pops) >= 2), st.data())
+    def test_a_shared_member_is_refused_by_name(self, pops, data):
+        first, second = data.draw(st.permutations(range(len(pops))))[:2]
+        shared = data.draw(st.sampled_from(pops[first].members()))
+        pops[second] = replace(pops[second], singleton_members=pops[second].singleton_members | {shared})
+        with pytest.raises(ValueError, match=f"interface {re.escape(shared)} belongs to more than one PoP"):
+            PopMap(tuple(pops))
