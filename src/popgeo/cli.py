@@ -27,20 +27,21 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequenc
 from .extract import (
     ExtractionConfig,
     PopMap,
+    VoteConfig,
     extract_pops,
     load_popmap,
     save_popmap,
     threshold_sweep,
 )
-from .geodb import AnswerTable, answer_table, load_null_coords, load_point_db, load_range_db
 from .ingest import INPUT_ENCODING, DelayEdge, ParseError, PrefixMap, load_ip2as, read_edges, write_records
 
-# Every stage is a fresh interpreter, so evaluate, synth and the vote are
-# imported inside the commands and helpers that run them: extract and sweep
-# never load them.
+# Every stage is a fresh interpreter, so the databases, the vote, evaluate and
+# synth are imported inside the commands and helpers that run them: extract
+# and sweep load only cli, extract, ingest and iputil.
 if TYPE_CHECKING:
     from . import evaluate as ev
-    from .locate import PoPLocation, VoteConfig
+    from .geodb import AnswerTable
+    from .locate import PoPLocation
     from .synth import SynthSpec
 
 log = logging.getLogger("popgeo")
@@ -200,9 +201,6 @@ DEDICATED_FLAGS = {
 
 
 def build_run_config(args) -> RunConfig:
-    # VoteConfig checks [vote] on every command, so a bad value exits 1 anywhere
-    from .locate import VoteConfig
-
     config_path = Path(args.config)
     # a '%' in a value is literal; no section lends its keys to the others, so
     # [DEFAULT] is an ordinary section name, refused below
@@ -285,7 +283,7 @@ def build_run_config(args) -> RunConfig:
             db_specs=db_specs,
             churn_pairs=churn_pairs,
             extraction=ExtractionConfig(**section("extract")),
-            vote=VoteConfig(**section("vote")),
+            vote=VoteConfig(**section("vote")),  # checked on every command, so a bad value exits 1 anywhere
             sweep_grid=section("sweep").get("grid", []),
             synth=SynthSpec(**synth) if cp.has_section("synth") else None,
             with_singletons=bool(getattr(args, "with_singletons", False)),
@@ -323,11 +321,13 @@ def _open_input(path: Optional[Path], what: str):
             raise InputError(f"{what} {path} is not UTF-8: {exc.reason} {exc.object[exc.start:exc.end]!r}") from exc
 
 
-def _null_coords(cfg: RunConfig):
-    if cfg.null_coords_file is None:
-        return None
-    with _open_input(cfg.null_coords_file, "null-coords file") as fh:
-        return load_null_coords(fh)
+def __getattr__(name: str):
+    """load_point_db and load_range_db, read from popgeo.geodb on first use, so they stay cli attributes."""
+    if name in ("load_point_db", "load_range_db"):
+        from . import geodb
+
+        return getattr(geodb, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _table_loader(cfg: RunConfig, popmap: PopMap) -> Callable[[DbSpec], AnswerTable]:
@@ -336,15 +336,21 @@ def _table_loader(cfg: RunConfig, popmap: PopMap) -> Callable[[DbSpec], AnswerTa
     Each (kind, path) file is loaded and queried once, whichever spec names
     it first; every later spec on the file gets that address -> coordinate
     mapping, and the PoP records read from it, under its own name. The
-    null-coords file is read once, here.
+    null-coords file is read once, here. The loaders are read as this
+    module's attributes, where a caller may have replaced them.
     """
-    null_coords = _null_coords(cfg)
+    from .geodb import AnswerTable, answer_table, load_null_coords
+
+    null_coords = None
+    if cfg.null_coords_file is not None:
+        with _open_input(cfg.null_coords_file, "null-coords file") as fh:
+            null_coords = load_null_coords(fh)
     by_file: dict[tuple[str, Path], AnswerTable] = {}
 
     def table(spec: DbSpec) -> AnswerTable:
         key = (spec.kind, spec.path)
         if key not in by_file:
-            loader = load_range_db if spec.kind == "range" else load_point_db
+            loader = getattr(sys.modules[__name__], f"load_{spec.kind}_db")
             with _open_input(spec.path, f"database {spec.name}") as fh:
                 by_file[key] = answer_table(loader(fh, spec.name, null_coords), popmap)
         first = by_file[key]

@@ -16,10 +16,9 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from statistics import median
 from typing import Optional, Sequence
 
-from .ingest import INPUT_ENCODING, DelayEdge, ParseError, PrefixMap
+from .ingest import INPUT_ENCODING, DelayEdge, ParseError, PrefixMap, _middle
 from .iputil import ip_to_int
 
 
@@ -49,6 +48,34 @@ class ExtractionConfig:
     @property
     def singleton_median_ms(self) -> float:
         return self.pop_max_delay_ms if self.singleton_max_median_ms is None else self.singleton_max_median_ms
+
+
+# the longest radius schedule VoteConfig accepts (the default has 500)
+MAX_RADII = 100_000
+
+
+# here, not in locate, so that every command checks [vote] without loading the vote
+@dataclass(frozen=True)
+class VoteConfig:
+    """Radius schedule and majority rule for the location vote.
+
+    Defaults step by 1.11 km (0.01 degree) up to 555 km (5 degrees); 111 and
+    500 km are the usual alternate caps. The schedule holds at most
+    MAX_RADII radii: at the 555 km cap that is a 5.55 m step, finer than any
+    database's coordinates.
+    """
+
+    step_km: float = 1.11
+    max_radius_km: float = 555.0
+    majority_fraction: float = 0.5
+
+    def __post_init__(self):
+        if not 0 < self.step_km <= self.max_radius_km < math.inf:
+            raise ValueError("need 0 < step_km <= max_radius_km < inf")
+        if self.max_radius_km / self.step_km > MAX_RADII:
+            raise ValueError(f"the radius schedule max_radius_km / step_km holds more than {MAX_RADII} radii")
+        if not 0 < self.majority_fraction <= 1:
+            raise ValueError("majority_fraction outside (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -209,7 +236,7 @@ def attach_singletons(
         if not delays_to_pop:
             continue
         best_idx, best_median = min(
-            ((idx, float(median(vals))) for idx, vals in delays_to_pop.items()),
+            ((idx, float(_middle(sorted(vals)))) for idx, vals in delays_to_pop.items()),
             key=lambda item: (item[1], ip_to_int(popmap.pops[item[0]].id)),
         )
         if best_median <= cfg.singleton_median_ms:
@@ -293,10 +320,13 @@ def save_popmap(popmap: PopMap, path) -> None:
 
 
 def _pop(row: dict) -> PoP:
-    """One PoP of a map file: a JSON integer asn, members PoP can parse, and its lowest core member as id."""
+    """One PoP of a map file: a JSON integer asn, arrays of distinct members PoP can parse, its lowest core member as id."""
     if type(row["asn"]) is not int:  # bool is an int subclass; 1.5, true and "65000" are refused alike
         raise TypeError(f"asn {row['asn']!r} is not an integer")
-    pop = PoP(row["id"], row["asn"], frozenset(row["core_members"]), frozenset(row.get("singleton_members", [])))
+    members = row["core_members"], row.get("singleton_members", [])
+    if not all(type(m) is list and len(set(m)) == len(m) for m in members):  # an object reads as its keys
+        raise ValueError("core_members and singleton_members must be JSON arrays of distinct addresses")
+    pop = PoP(row["id"], row["asn"], *map(frozenset, members))
     if pop.id != next(ip for ip in pop.members() if ip in pop.core_members):
         raise ValueError(f"PoP id {pop.id!r} is not its lowest core member")
     return pop

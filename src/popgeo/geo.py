@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
+from .ingest import _middle
+
 EARTH_RADIUS_KM = 6371.0
 KM_PER_DEGREE = 111.0
 
@@ -252,12 +254,6 @@ def destination_point(origin: GeoCoord, bearing_rad: float, distance_km: float) 
     lat2 = math.atan2(z, math.hypot(x, y))
     lon2 = lon1 + math.atan2(y, x)
     return GeoCoord(math.degrees(lat2), math.degrees(lon2))
-
-
-def _middle(ordered: list[float]) -> float:
-    """statistics.median of already sorted values, bit for bit."""
-    i = len(ordered) // 2
-    return ordered[i] if len(ordered) % 2 else (ordered[i - 1] + ordered[i]) / 2
 
 
 def coordinate_median(points: list[GeoCoord]) -> GeoCoord:

@@ -25,7 +25,6 @@ evaluation metrics checkable without proprietary data.
 """
 
 import math
-import random
 import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -278,6 +277,8 @@ def synth_db(
         raise ValueError("null_rate outside [0, 1]")
     if noise_km < 0:
         raise ValueError("negative noise_km")
+    import random  # only synth draws, so the stages that read databases never load it
+
     rng = random.Random(seed)
 
     pinned: set[str] = set()

@@ -10,14 +10,12 @@ and the geodb and evaluate ones alike; write_records is the line writer of
 every CSV output.
 """
 
-import csv
 import ipaddress
 import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from statistics import median
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from .iputil import ip_to_int
@@ -105,15 +103,25 @@ def read_records(
         if not text or text.startswith("#"):
             continue
         try:
-            fields = next(csv.reader([text])) if '"' in text else text.split(",")
+            fields = _quoted_fields(text) if '"' in text else text.split(",")
             record = parse([f.strip() for f in fields])
-        except (ValueError, csv.Error) as exc:
+        except ValueError as exc:
             errors.append((lineno, str(exc)))
             if len(errors) > max_errors:
                 raise ParseError(f"{what} line {lineno}: {exc}", errors) from exc
             log.warning("%s line %d skipped: %s", what, lineno, exc)
             continue
         yield record
+
+
+def _quoted_fields(text: str) -> list[str]:
+    """text read as one CSV record; csv is imported here, as few inputs quote a field."""
+    import csv
+
+    try:
+        return next(csv.reader([text]))
+    except csv.Error as exc:
+        raise ValueError(str(exc)) from exc
 
 
 def write_records(path, rows: Iterable[Sequence]) -> None:
@@ -185,12 +193,15 @@ def read_edges(lines: Iterable[str], max_errors: int = DEFAULT_ERROR_CAP) -> lis
     return _edges(delays)
 
 
+def _middle(ordered: list[float]) -> float:
+    """statistics.median of already sorted values, bit for bit: the middle one, or the mean of the middle pair."""
+    i = len(ordered) // 2
+    return ordered[i] if len(ordered) % 2 else (ordered[i - 1] + ordered[i]) / 2
+
+
 def _edges(delays: dict[tuple[str, str], list[float]]) -> list[DelayEdge]:
     """One edge per pair: the exact median and the count, sorted by numeric (src, dst)."""
-    edges = [
-        DelayEdge(src, dst, float(median(vals)), len(vals))
-        for (src, dst), vals in delays.items()
-    ]
+    edges = [DelayEdge(src, dst, float(_middle(sorted(vals))), len(vals)) for (src, dst), vals in delays.items()]
     edges.sort(key=lambda e: (ip_to_int(e.src), ip_to_int(e.dst)))
     return edges
 

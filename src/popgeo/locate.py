@@ -21,16 +21,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .extract import PopMap
+from .extract import MAX_RADII, PopMap, VoteConfig  # noqa: F401  (MAX_RADII: re-exported with VoteConfig)
 from .geo import DistinctPoints, GeoCoord, coordinate_median
 from .geodb import AnswerSource, PopAnswers
 
 # tolerance when laying out the radius grid; keeps float division from
 # dropping the final step (555/1.11 lands just below 500)
 _GRID_EPS_KM = 1e-9
-
-# the longest radius schedule VoteConfig accepts (the default has 500)
-MAX_RADII = 100_000
 
 
 @dataclass(frozen=True)
@@ -40,29 +37,6 @@ class IpElement:
     ip: str
     db_name: str
     coord: Optional[GeoCoord]
-
-
-@dataclass(frozen=True)
-class VoteConfig:
-    """Radius schedule and majority rule for the location vote.
-
-    Defaults step by 1.11 km (0.01 degree) up to 555 km (5 degrees); 111 and
-    500 km are the usual alternate caps. The schedule holds at most
-    MAX_RADII radii: at the 555 km cap that is a 5.55 m step, finer than any
-    database's coordinates.
-    """
-
-    step_km: float = 1.11
-    max_radius_km: float = 555.0
-    majority_fraction: float = 0.5
-
-    def __post_init__(self):
-        if not 0 < self.step_km <= self.max_radius_km < math.inf:
-            raise ValueError("need 0 < step_km <= max_radius_km < inf")
-        if self.max_radius_km / self.step_km > MAX_RADII:
-            raise ValueError(f"the radius schedule max_radius_km / step_km holds more than {MAX_RADII} radii")
-        if not 0 < self.majority_fraction <= 1:
-            raise ValueError("majority_fraction outside (0, 1]")
 
 
 @dataclass(frozen=True)

@@ -319,6 +319,18 @@ def _id_not_lowest(text):
     return json.dumps(rows)
 
 
+def _object_members(text):
+    rows = json.loads(text)
+    rows[0]["core_members"] = {ip: 0 for ip in rows[0]["core_members"]}
+    return json.dumps(rows)
+
+
+def _repeated_member(text):
+    rows = json.loads(text)
+    rows[0]["core_members"].append(rows[0]["core_members"][-1])
+    return json.dumps(rows)
+
+
 class TestErrors:
     def test_missing_config(self, tmp_path):
         assert main(["extract", "--config", str(tmp_path / "nope.ini")]) == 1
@@ -439,6 +451,16 @@ class TestErrors:
         assert run(cfg, "extract", "--set", setting) == 1
         assert read_tree(tmp) == before
 
+    @pytest.mark.parametrize("setting", ["vote.max_radius_km=inf", "vote.step_km=0"])
+    @pytest.mark.parametrize("command", ["extract", "sweep"])
+    def test_bad_vote_value_fails_extract_and_sweep(self, workdir, command, setting):
+        # the stages that run no vote still check [vote], as every command does
+        tmp, cfg = workdir
+        run(cfg, "synth")
+        before = read_tree(tmp)
+        assert run(cfg, command, "--set", setting) == 1
+        assert read_tree(tmp) == before
+
     @pytest.mark.parametrize("grid", ["1,nan,5", "nan", "1,5,inf"])
     def test_failed_sweep_writes_nothing(self, workdir, grid):
         tmp, cfg = workdir
@@ -472,6 +494,8 @@ class TestErrors:
             _asn_set_to(65000.5),
             _asn_set_to(True),
             _asn_set_to("65000"),
+            _object_members,
+            _repeated_member,
         ],
         ids=[
             "bad_member",
@@ -483,6 +507,8 @@ class TestErrors:
             "fractional_asn",
             "boolean_asn",
             "string_asn",
+            "object_members",
+            "repeated_member",
         ],
     )
     def test_malformed_popmap_is_input_error(self, workdir, corrupt, command):
@@ -921,6 +947,48 @@ class TestStageImportSets:
             status, modules = json.loads(done.stdout.splitlines()[-1])
             assert status == 0
             assert set(modules) <= {f"popgeo.{name}" for name in allowed}, command
+
+
+class TestStageModuleSets:
+    """The modules each stage loads beyond those a bare interpreter already holds."""
+
+    RUNS_NO_DATABASE = {"popgeo", "popgeo.cli", "popgeo.extract", "popgeo.ingest", "popgeo.iputil"}
+
+    def test_each_stage_loads_only_what_it_runs(self, workdir):
+        tmp, cfg = workdir
+        run(cfg, "synth")
+        run(cfg, "extract")
+        first, *rest = (tmp / "observations.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert '"' not in first + "".join(rest)
+        src, dst, delay = first.strip().split(",")
+        (tmp / "quoted.csv").write_text(f'"{src}",{dst},"{delay}"\n' + "".join(rest), encoding="utf-8")
+        probe = (
+            "import json, sys; from popgeo.cli import main; status = main(sys.argv[1:]); "
+            "print(json.dumps([status, sorted(sys.modules)]))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+        def loaded(*argv):
+            done = subprocess.run(
+                [sys.executable, "-c", probe, *argv], cwd=tmp, env=env, capture_output=True, text=True, check=True
+            )
+            status, modules = json.loads(done.stdout.splitlines()[-1])
+            assert status == 0, argv
+            return set(modules) - bare
+
+        # site hooks differ between machines, so count only what a stage adds to a bare interpreter
+        bare_probe = "import json, sys; print(json.dumps(sorted(sys.modules)))"
+        done = subprocess.run([sys.executable, "-c", bare_probe], env=env, capture_output=True, text=True, check=True)
+        bare = set(json.loads(done.stdout))
+        config = ["--config", str(tmp / "run.ini")]
+        for argv in (["extract", *config], ["sweep", *config, "--grid", "1,3"]):
+            modules = loaded(*argv)
+            assert {m for m in modules if m.startswith("popgeo")} == self.RUNS_NO_DATABASE, argv[0]
+            assert not modules & {"statistics", "csv"}, argv[0]
+        assert "statistics" not in loaded("locate", *config)
+        # a quoted line loads csv when it is read, and reads as before
+        assert "csv" in loaded("extract", *config, "--set", "paths.observations=quoted.csv", "--out", "quoted")
+        assert (tmp / "quoted" / "popmap_singletons.json").read_bytes() == (tmp / "popmap_singletons.json").read_bytes()
 
 
 # a copy of each input format with a UTF-8 byte order mark reads as the plain file

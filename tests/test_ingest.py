@@ -1,4 +1,7 @@
+import csv
 import ipaddress
+import math
+import statistics
 import struct
 
 import pytest
@@ -16,6 +19,7 @@ from popgeo.ingest import (
     parse_observations,
     read_edges,
     read_records,
+    _middle,
     write_records,
 )
 
@@ -299,6 +303,56 @@ def test_unbalanced_quote_skips_only_its_line(caplog):
         obs = parse_observations(lines)
     assert [o.delay_ms for o in obs] == [1.0, 3.0, 4.0]
     assert "observation line 2 skipped" in caplog.text
+
+
+# characters a plain field may hold: no quote, comma, line break or "#", which would start a comment
+_PLAIN = st.text(st.characters(blacklist_characters='",#\r\n', blacklist_categories=("Cs",)), max_size=6)
+
+
+class TestQuotedLines:
+    """csv is imported only for a line that holds a double quote; such lines read as before."""
+
+    @given(st.lists(_PLAIN, min_size=1, max_size=4), st.integers(min_value=0, max_value=3), _PLAIN, _PLAIN)
+    @example(["1.1.1.1", "2.2.2.2"], 2, "1", "5")
+    def test_quoted_field_with_comma_is_one_field(self, plain, at, left, right):
+        at = min(at, len(plain))
+        line = ",".join([*plain[:at], f'"{left},{right}"', *plain[at:]])
+        expected = [f.strip() for f in [*plain[:at], f"{left},{right}", *plain[at:]]]
+        assert list(read_records([line], "t", list)) == [expected]
+
+    def test_malformed_quoted_line_is_the_same_counted_skip(self, caplog):
+        bad = '1.1.1.1,"' + "x" * (csv.field_size_limit() + 1) + '",1.0'
+        with pytest.raises(csv.Error) as reader_error:
+            next(csv.reader([bad]))
+        message = str(reader_error.value)
+        lines = ["1.1.1.1,2.2.2.2,1.0", bad, "1.1.1.1,2.2.2.2,3.0"]
+        with caplog.at_level("WARNING"):
+            assert [o.delay_ms for o in parse_observations(lines)] == [1.0, 3.0]
+        assert f"observation line 2 skipped: {message}" in caplog.messages
+        with pytest.raises(ParseError) as exc:
+            parse_observations(lines, max_errors=0)
+        assert str(exc.value) == f"observation line 2: {message}"
+        assert exc.value.errors == [(2, message)]
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+_SPECIAL += [math.inf, -math.inf, 1.0, 1.0]
+
+
+class TestMiddle:
+    """ingest._middle, the one exact median of edges, singleton attachment and coordinate_median."""
+
+    @given(st.lists(st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=False)), min_size=1, max_size=9))
+    @example([0.0, -0.0])
+    @example([-0.0, 0.0, -0.0])
+    @example([5e-324, 5e-324])
+    @example([1.7976931348623157e308, 1.7976931348623157e308])
+    @example([math.inf, -math.inf])
+    @example([-math.inf, 2.0, math.inf])
+    def test_equals_statistics_median_bit_for_bit(self, values):
+        expected = statistics.median(values)
+        got = _middle(sorted(values))
+        assert struct.pack("<d", got) == struct.pack("<d", expected)
 
 
 def _read_back(path):
