@@ -13,6 +13,11 @@ every CSV output.
 import ipaddress
 import logging
 import math
+
+# _csv is the C module that csv wraps (csv.reader is _csv.reader); csv itself
+# would add its Python layer (dialects, Sniffer) to the import time of every stage
+from _csv import Error as CsvError
+from _csv import reader as csv_reader
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
@@ -103,25 +108,15 @@ def read_records(
         if not text or text.startswith("#"):
             continue
         try:
-            fields = _quoted_fields(text) if '"' in text else text.split(",")
+            fields = next(csv_reader([text])) if '"' in text else text.split(",")
             record = parse([f.strip() for f in fields])
-        except ValueError as exc:
+        except (ValueError, CsvError) as exc:
             errors.append((lineno, str(exc)))
             if len(errors) > max_errors:
                 raise ParseError(f"{what} line {lineno}: {exc}", errors) from exc
             log.warning("%s line %d skipped: %s", what, lineno, exc)
             continue
         yield record
-
-
-def _quoted_fields(text: str) -> list[str]:
-    """text read as one CSV record; csv is imported here, as few inputs quote a field."""
-    import csv
-
-    try:
-        return next(csv.reader([text]))
-    except csv.Error as exc:
-        raise ValueError(str(exc)) from exc
 
 
 def write_records(path, rows: Iterable[Sequence]) -> None:

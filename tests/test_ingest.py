@@ -310,7 +310,7 @@ _PLAIN = st.text(st.characters(blacklist_characters='",#\r\n', blacklist_categor
 
 
 class TestQuotedLines:
-    """csv is imported only for a line that holds a double quote; such lines read as before."""
+    """A line that holds a double quote is read by _csv, the C reader under csv, as before."""
 
     @given(st.lists(_PLAIN, min_size=1, max_size=4), st.integers(min_value=0, max_value=3), _PLAIN, _PLAIN)
     @example(["1.1.1.1", "2.2.2.2"], 2, "1", "5")
