@@ -13,14 +13,16 @@ Exit codes: 0 success, 1 input error, 2 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import atexit
 import configparser
-import json
+import gc
 import logging
 import math
 import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
@@ -57,6 +59,8 @@ class InvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class DbSpec:
+    """One configured database: its name, its kind ("range" or "point") and its file."""
+
     name: str
     kind: str
     path: Path
@@ -64,6 +68,8 @@ class DbSpec:
 
 @dataclass
 class RunConfig:
+    """Every setting of one command, read from the config file and the command line."""
+
     out_dir: Path
     observations: Optional[Path]
     ip2as: Optional[Path]
@@ -506,6 +512,8 @@ def _per_db_reports(
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
+    import json
+
     from . import evaluate as ev
 
     if not cfg.db_specs:
@@ -667,21 +675,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
+@cache
+def _freeze_at_exit() -> None:
+    """Register gc.freeze with atexit on the first call only, so it is registered once per process."""
+    atexit.register(gc.freeze)
+
+
+@contextmanager
+def _collector_policy():
+    """Keep the cyclic garbage collector off what lives until the command, or the process, ends.
+
+    A command's inputs, maps, answer tables and records live until it
+    returns, so a full collection would only walk them again: the third
+    threshold is raised so that none runs while the command does; the young
+    generations still collect the cycles it drops while they are young. At
+    exit, gc.freeze takes everything still tracked out of the interpreter's
+    shutdown collections. On return the thresholds are as they were; the
+    enabled flag and the freeze count are never changed.
+    """
+    _freeze_at_exit()
+    thresholds = gc.get_threshold()
+    # the third threshold counts middle-generation passes; no command makes 2**31 of them
+    gc.set_threshold(thresholds[0], thresholds[1], 2**31 - 1)
     try:
-        cfg = build_run_config(args)
-        return COMMANDS[args.command](cfg)
-    except (InputError, ParseError, FileNotFoundError) as exc:
-        log.error("%s", exc)
-        return 1
-    except InvariantError as exc:
-        log.error("invariant violated: %s", exc)
-        return 2
-    except Exception:  # internal failure: anything we did not classify above
-        log.exception("internal error")
-        return 2
+        yield
+    finally:
+        gc.set_threshold(*thresholds)
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    with _collector_policy():
+        logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
+        args = build_parser().parse_args(argv)
+        try:
+            cfg = build_run_config(args)
+            return COMMANDS[args.command](cfg)
+        except (InputError, ParseError, FileNotFoundError) as exc:
+            log.error("%s", exc)
+            return 1
+        except InvariantError as exc:
+            log.error("invariant violated: %s", exc)
+            return 2
+        except Exception:  # internal failure: anything we did not classify above
+            log.exception("internal error")
+            return 2
 
 
 if __name__ == "__main__":

@@ -24,8 +24,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import compress
+from math import fsum, sqrt
 from operator import and_, ge, gt
-from statistics import StatisticsError, correlation
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .extract import PopMap
@@ -111,6 +111,8 @@ class CdfSeries:
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
+    """Pearson correlation of every pair of databases, None where undefined; values[i][j] pairs db_names[i] and [j]."""
+
     db_names: tuple[str, ...]
     values: tuple[tuple[Optional[float], ...], ...]
     include_nulls: bool
@@ -278,6 +280,8 @@ class DeviationSample:
 
 @dataclass(frozen=True)
 class DeviationReport:
+    """One database's deviation samples, and the PoPs skipped because their cross-database vote is null."""
+
     db_name: str
     samples: tuple[DeviationSample, ...]
     skipped_pops: int
@@ -330,13 +334,23 @@ def deviation_samples(
 
 
 def _pearson(xs: list[float], ys: list[float]) -> Optional[float]:
+    """Pearson's r of xs and ys; None under four values or when either is constant.
+
+    It is Python 3.11's statistics.correlation, to the operation: fsum means,
+    the fsum of the products of deviations, then sxy / sqrt(sxx * syy). So
+    every coefficient is the same on every Python version.
+    """
     # xs and ys hold latitudes, then longitudes: two values per address
-    if len(xs) < 4:
+    n = len(xs)
+    if n < 4:
         return None
-    try:
-        return correlation(xs, ys)
-    except StatisticsError:
-        return None
+    xbar = fsum(xs) / n
+    ybar = fsum(ys) / n
+    sxy = fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+    sxx = fsum((d := x - xbar) * d for x in xs)
+    syy = fsum((d := y - ybar) * d for y in ys)
+    root = sqrt(sxx * syy)
+    return None if root == 0.0 else sxy / root
 
 
 def correlation_matrix(

@@ -11,7 +11,6 @@ afterwards as singleton members of the nearest PoP.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
@@ -316,6 +315,8 @@ def popmap_to_obj(popmap: PopMap) -> list[dict]:
 
 
 def save_popmap(popmap: PopMap, path) -> None:
+    import json  # sweep writes no map, so only the commands that read or write one load json
+
     Path(path).write_text(json.dumps(popmap_to_obj(popmap), indent=2) + "\n", encoding="utf-8")
 
 
@@ -337,6 +338,8 @@ def load_popmap(path) -> PopMap:
 
     Members are disjoint and each id is its PoP's lowest core member, so ids are unique.
     """
+    import json
+
     try:
         rows = json.loads(Path(path).read_text(encoding=INPUT_ENCODING))
         return PopMap(tuple(_pop(row) for row in rows))

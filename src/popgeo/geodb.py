@@ -37,6 +37,8 @@ from .iputil import int_to_ip, ip_to_int, parse_ip
 
 @dataclass(frozen=True)
 class GeoRecord:
+    """A database's answer for one address: a coordinate, or None on a null reply, and its country and city."""
+
     coord: Optional[GeoCoord] = None
     country: Optional[str] = None
     city: Optional[str] = None

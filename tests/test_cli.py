@@ -1,9 +1,12 @@
+import atexit
 import configparser
+import gc
 import json
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -962,9 +965,10 @@ class TestStageModuleSets:
         assert '"' not in first + "".join(rest)
         src, dst, delay = first.strip().split(",")
         (tmp / "quoted.csv").write_text(f'"{src}",{dst},"{delay}"\n' + "".join(rest), encoding="utf-8")
+        # each probe lists sys.modules before it imports json to print them
         probe = (
-            "import json, sys; from popgeo.cli import main; status = main(sys.argv[1:]); "
-            "print(json.dumps([status, sorted(sys.modules)]))"
+            "import sys; from popgeo.cli import main; status = main(sys.argv[1:]); modules = sorted(sys.modules); "
+            "import json; print(json.dumps([status, modules]))"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
@@ -977,7 +981,7 @@ class TestStageModuleSets:
             return set(modules) - bare
 
         # site hooks differ between machines, so count only what a stage adds to a bare interpreter
-        bare_probe = "import json, sys; print(json.dumps(sorted(sys.modules)))"
+        bare_probe = "import sys; modules = sorted(sys.modules); import json; print(json.dumps(modules))"
         done = subprocess.run([sys.executable, "-c", bare_probe], env=env, capture_output=True, text=True, check=True)
         bare = set(json.loads(done.stdout))
         config = ["--config", str(tmp / "run.ini")]
@@ -985,10 +989,73 @@ class TestStageModuleSets:
             modules = loaded(*argv)
             assert {m for m in modules if m.startswith("popgeo")} == self.RUNS_NO_DATABASE, argv[0]
             assert not modules & {"statistics", "csv"}, argv[0]
+        assert "json" not in modules  # sweep writes no map
         assert "statistics" not in loaded("locate", *config)
+        assert not loaded("evaluate", *config) & {"statistics", "fractions", "decimal"}
         # a quoted line is read by _csv, the C reader under csv, and reads as before
         assert "csv" not in loaded("extract", *config, "--set", "paths.observations=quoted.csv", "--out", "quoted")
         assert (tmp / "quoted" / "popmap_singletons.json").read_bytes() == (tmp / "popmap_singletons.json").read_bytes()
+
+
+class TestCollectorPolicy:
+    """main changes the cyclic collector only while a command runs, and registers one exit hook."""
+
+    @staticmethod
+    def _collector():
+        return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_main_leaves_the_collector_as_it_found_it(self, workdir, monkeypatch, enabled):
+        tmp, cfg = workdir
+        before = self._collector()
+        (gc.enable if enabled else gc.disable)()
+        gc.set_threshold(500, 7, 9)  # not the interpreter's defaults, so a threshold left behind shows
+        try:
+            state = self._collector()
+            statuses = [run(cfg, "synth"), run(cfg, "extract"), run(cfg, "sweep"), run(cfg, "evaluate")]
+            statuses.append(run(cfg, "sweep", "--grid", "3,1"))
+            monkeypatch.setattr(popgeo.evaluate, "convergence_cdf", lambda *a: 1 / 0)
+            statuses.append(run(cfg, "evaluate"))
+            with pytest.raises(SystemExit):  # argparse's exit on an unknown command
+                main(["nonsense"])
+            assert statuses == [0, 0, 0, 0, 1, 2]
+            assert self._collector() == state
+        finally:
+            gc.set_threshold(*before[1])
+            (gc.enable if before[0] else gc.disable)()
+        assert self._collector() == before
+
+    def test_exit_hook_runs_once_and_before_shutdown(self, workdir):
+        tmp, cfg = workdir
+        assert run(cfg, "synth") == 0
+        # the probe counts the calls of gc.freeze; atexit runs its functions
+        # last-registered first, so the probe's report runs after main's hook
+        probe = (
+            "import atexit, gc, sys; calls = []; freeze = gc.freeze; "
+            "gc.freeze = lambda: calls.append(1) or freeze(); "
+            "atexit.register(lambda: print('at exit', len(calls), gc.get_freeze_count() > 0)); "
+            "from popgeo.cli import main; statuses = [main(sys.argv[1:]) for _ in range(3)]; "
+            "print(statuses, len(calls), gc.get_freeze_count())"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", probe, "extract", "--config", str(tmp / "run.ini")],
+            cwd=tmp, env=env, capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.splitlines() == ["[0, 0, 0] 0 0", "at exit 1 True"]
+
+    def test_no_command_leaves_a_file_open(self, workdir, monkeypatch):
+        # the shutdown collections no longer reach what a command leaves behind,
+        # so every file it opens must be closed before it returns
+        tmp, cfg = workdir
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            statuses = [run(cfg, command) for command in ("synth", "extract", "locate", "evaluate", "sweep")]
+            gc.collect()
+        assert statuses == [0] * 5
+        assert [str(u.exc_value) for u in unraisable] == []
 
 
 # a copy of each input format with a UTF-8 byte order mark reads as the plain file

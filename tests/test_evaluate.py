@@ -1,8 +1,9 @@
 import math
 import random
+import statistics
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from popgeo import evaluate as ev
 from popgeo.extract import PoP, PopMap
@@ -323,6 +324,59 @@ class TestDeviation:
 def _one_pop(ips):
     """A map holding ips as the members of one PoP."""
     return make_popmap(make_pop(ips[0], ips))
+
+
+def _correlation_311(x, y):
+    """statistics.correlation as Python 3.11 computes it; None where it raises StatisticsError."""
+    n = len(x)
+    if n < 2:
+        return None
+    xbar = math.fsum(x) / n
+    ybar = math.fsum(y) / n
+    sxy = math.fsum((xi - xbar) * (yi - ybar) for xi, yi in zip(x, y))
+    sxx = math.fsum((d := xi - xbar) * d for xi in x)
+    syy = math.fsum((d := yi - ybar) * d for yi in y)
+    try:
+        return sxy / math.sqrt(sxx * syy)
+    except ZeroDivisionError:
+        return None
+
+
+# coordinates to four decimals, and any float a latitude or longitude can hold, subnormals included
+_COORD = st.integers(-1_800_000, 1_800_000).map(lambda k: k / 10_000)
+_FLOAT = st.one_of(_COORD, st.floats(-180.0, 180.0))
+
+
+def _vector_pairs(values):
+    """Two lists of one length, 0 to 24, drawn from values, repeats and constant runs included."""
+    pick = st.one_of(values, st.sampled_from([0.0, 1.0, 45.5]))
+    return st.integers(0, 24).flatmap(lambda n: st.tuples(*[st.lists(pick, min_size=n, max_size=n)] * 2))
+
+
+class TestPearson:
+    """evaluate._pearson, the coefficient behind correlation_matrix, without the statistics module."""
+
+    @given(_vector_pairs(_FLOAT))
+    @example(([0.0, 0.0, 0.0, 1e-200], [1.0, 2.0, 3.0, 4.0]))  # sxx underflows to 0: None, as 3.11 raised
+    def test_is_the_311_formula_bit_for_bit(self, pair):
+        xs, ys = pair
+        expected = _correlation_311(xs, ys) if len(xs) >= 4 else None
+        assert repr(ev._pearson(xs, ys)) == repr(expected)
+
+    @given(_vector_pairs(_COORD))
+    def test_is_close_to_statistics_correlation(self, pair):
+        xs, ys = pair
+        if len(xs) < 4:
+            assert ev._pearson(xs, ys) is None
+            return
+        try:
+            expected = statistics.correlation(xs, ys)
+        except statistics.StatisticsError:  # a constant vector
+            expected = None
+        got = ev._pearson(xs, ys)
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert math.isclose(got, expected, rel_tol=1e-9, abs_tol=1e-9)
 
 
 class TestCorrelation:
