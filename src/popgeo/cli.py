@@ -663,10 +663,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="INI config file")
         p.add_argument("--out", help="output directory (overrides [paths] out)")
         p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
-        p.add_argument("--with-singletons", action="store_true", help="use the singleton-extended PoP map")
-        p.add_argument("--step-km", type=float, help="vote radius step in km")
-        p.add_argument("--max-radius-km", type=float, help="vote radius cap in km")
-        p.add_argument("--null-coords-file", help="coordinates to treat as null replies")
+        if name in ("locate", "evaluate"):
+            p.add_argument("--with-singletons", action="store_true", help="use the singleton-extended PoP map")
+            p.add_argument("--null-coords-file", help="coordinates to treat as null replies")
+        if name in ("locate", "evaluate", "synth"):  # synth writes [vote] into run.ini
+            p.add_argument("--step-km", type=float, help="vote radius step in km")
+            p.add_argument("--max-radius-km", type=float, help="vote radius cap in km")
         p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE", help="override any config value")
         if name == "sweep":
             p.add_argument("--grid", help="comma-separated ascending thresholds in ms")

@@ -216,12 +216,14 @@ def convergence_cdf(db_name: str, locations: Iterable[PoPLocation]) -> CdfSeries
 def pop_agreement(pop, db: AnswerSource, radii_km: Sequence[float]) -> Optional[tuple[float, ...]]:
     """Largest fraction of one PoP's located answers inside any circle, per radius.
 
-    Candidate centers are every distinct located answer plus the median of
-    all of them. Identical answers are tested once and counted by
-    multiplicity. Each candidate's dot products are computed once, and every
-    radius is decided from that row; a radius that some candidate already
-    covers fully is not tested again. Returns one fraction per entry of
-    radii_km, or None when the database is null on every member.
+    The circles are centred on the candidates of the fallback vote,
+    PopAnswers.candidates(): the median of the located answers, then every
+    distinct one. Identical answers are tested once and counted by
+    multiplicity. Every radius is decided from a candidate's one dots row; a
+    radius that some candidate already covers fully is not tested again, and
+    once every radius is, the scan stops before the next row. Returns one
+    fraction per entry of radii_km, or None when the database is null on
+    every member.
     """
     record = db.record(pop)
     located = len(record.located)
@@ -230,8 +232,7 @@ def pop_agreement(pop, db: AnswerSource, radii_km: Sequence[float]) -> Optional[
     answers = record.distinct
     best = dict.fromkeys(radii_km, 0)
     open_radii = list(best)  # the radii no candidate has yet covered fully
-    for i, cand in enumerate([record.median] + answers.points):
-        row = answers.point_dots(i - 1) if i else record.median_dots
+    for cand, row in record.candidates():
         for radius, count in zip(open_radii, answers.counts_in(row, cand, open_radii)):
             best[radius] = max(best[radius], count)
         open_radii = [radius for radius in open_radii if best[radius] < located]

@@ -28,7 +28,7 @@ import math
 import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .geo import DistinctPoints, GeoCoord, coordinate_median, destination_point
 from .ingest import read_records, write_records
@@ -62,6 +62,8 @@ class PopAnswers:
     distinct (identical answers held once, with their unit vectors), median
     (the coordinate median of located) and median_dots are computed on first
     use and kept, so the vote, the agreement and every report share them.
+    candidates() is the one scan of candidate centres that the fallback vote
+    and the agreement both read.
     """
 
     __slots__ = ("coords", "located", "_distinct", "_median", "_median_dots")
@@ -96,6 +98,18 @@ class PopAnswers:
         if self._median_dots is None:
             self._median_dots = self.distinct.dots(self.median)
         return self._median_dots
+
+    def candidates(self) -> Iterator[tuple[GeoCoord, list[float]]]:
+        """Each candidate centre with its dots row: the median with median_dots, then each distinct point.
+
+        The points come in first-seen order, and a point's row is computed
+        only when the scan reaches it, so a reader that stops early skips the
+        rest.
+        """
+        yield self.median, self.median_dots
+        distinct = self.distinct
+        for i, point in enumerate(distinct.points):
+            yield point, distinct.point_dots(i)
 
 
 class GeoDatabase:

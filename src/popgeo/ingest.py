@@ -10,7 +10,6 @@ and the geodb and evaluate ones alike; write_records is the line writer of
 every CSV output.
 """
 
-import ipaddress
 import logging
 import math
 
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
-from .iputil import ip_to_int
+from .iputil import ip_to_int, parse_ip
 
 log = logging.getLogger(__name__)
 
@@ -204,14 +203,15 @@ def _edges(delays: dict[tuple[str, str], list[float]]) -> list[DelayEdge]:
 class PrefixMap:
     """Longest-prefix-match table from CIDR prefixes to AS numbers.
 
-    Unmatched addresses resolve to None (unknown AS). Duplicate prefixes keep
-    the last entry. This is the one place that knows an interface's AS.
+    entries are (network address int, prefix length, asn). Unmatched
+    addresses resolve to None (unknown AS). Duplicate prefixes keep the last
+    entry. This is the one place that knows an interface's AS.
     """
 
-    def __init__(self, entries: Iterable[tuple[ipaddress.IPv4Network, int]]):
+    def __init__(self, entries: Iterable[tuple[int, int, int]]):
         self._by_len: dict[int, dict[int, int]] = {}
-        for net, asn in entries:
-            self._by_len.setdefault(net.prefixlen, {})[int(net.network_address)] = asn
+        for network, length, asn in entries:
+            self._by_len.setdefault(length, {})[network] = asn
         self._lens = sorted(self._by_len, reverse=True)
         self._answers: dict[str, Optional[int]] = {}  # by address string: one walk per distinct address
 
@@ -226,13 +226,23 @@ class PrefixMap:
         return self._answers[ip]
 
 
-def _prefix_entry(fields: list[str]) -> tuple[ipaddress.IPv4Network, int]:
+def _digits(text: str, what: str, top: int) -> int:
+    """text as an int of ASCII digits, at most top; int() alone takes signs, spaces, '_' and other scripts' digits."""
+    if text.isascii() and text.isdigit() and (value := int(text)) <= top:
+        return value
+    raise ValueError(f"{what} {text!r} is not a whole number from 0 to {top}")
+
+
+def _prefix_entry(fields: list[str]) -> tuple[int, int, int]:
+    """An ip2as line as (network int, length, asn): what ipaddress.ip_network accepts, but no dotted mask."""
     if len(fields) != 2:
         raise ValueError(f"expected 2 fields, got {len(fields)}")
-    net = ipaddress.ip_network(fields[0])
-    if not isinstance(net, ipaddress.IPv4Network):
-        raise ValueError(f"not an IPv4 prefix: {fields[0]}")
-    return net, int(fields[1])
+    address, slash, length_text = fields[0].partition("/")
+    network = parse_ip(address)
+    length = _digits(length_text, "prefix length", 32) if slash else 32
+    if network & (0xFFFFFFFF >> length):
+        raise ValueError(f"{fields[0]} has host bits set")
+    return network, length, _digits(fields[1], "asn", 0xFFFFFFFF)
 
 
 def load_ip2as(lines: Iterable[str], max_errors: int = DEFAULT_ERROR_CAP) -> PrefixMap:

@@ -6,10 +6,11 @@ database); several databases vote on their records' answers merged in
 member-major order, as collect_elements lays them out. The vote
 starts at the component-wise median of the located elements and grows a
 circle in fixed kilometer steps until it holds the configured majority of
-located elements; the location is then re-centered on the median of the
-in-range elements only, discarding far outliers. When no radius up to the
-maximum wins a majority, the largest cluster of answers around any single
-candidate center is used instead and the location is marked non-converged.
+located elements. When no radius up to the maximum wins a majority, the
+centre is instead the candidate of PopAnswers.candidates() (the median, then
+each distinct answer) covering the most answers within the maximum, and the
+location is marked non-converged. Either way the location is then re-centred
+on the median of the in-range elements only, discarding far outliers.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .extract import MAX_RADII, PopMap, VoteConfig  # noqa: F401  (MAX_RADII: re-exported with VoteConfig)
-from .geo import DistinctPoints, GeoCoord, coordinate_median
+from .geo import GeoCoord, coordinate_median
 from .geodb import AnswerSource, PopAnswers
 
 # tolerance when laying out the radius grid; keeps float division from
@@ -88,28 +89,23 @@ def collect_elements(pop, dbs: Sequence[AnswerSource]) -> list[IpElement]:
     ]
 
 
-def _located(elements: Sequence[IpElement]) -> list[GeoCoord]:
-    return [e.coord for e in elements if e.coord is not None]
-
-
 def _majority_range(
-    answers: DistinctPoints, dots: Sequence[float], center: GeoCoord, cfg: VoteConfig
+    answers: PopAnswers, dots: Sequence[float], center: GeoCoord, cfg: VoteConfig
 ) -> tuple[float, bool]:
     # the winning radius is the first grid entry covering the need-th nearest
     # answer; scanning and counting per radius gives the same result
-    need = math.ceil(cfg.majority_fraction * len(answers.index))
+    need = math.ceil(cfg.majority_fraction * len(answers.located))
     grid = radius_grid(cfg)
-    i = bisect_left(grid, answers.nth_nearest_km(dots, center, need))
+    i = bisect_left(grid, answers.distinct.nth_nearest_km(dots, center, need))
     if i == len(grid):
         return cfg.max_radius_km, False
     return grid[i], True
 
 
-def _in_range(
-    coords: Sequence[GeoCoord], answers: DistinctPoints, dots: Sequence[float], center: GeoCoord, range_km: float
-) -> list[GeoCoord]:
-    inside = answers.inside(dots, center, range_km)
-    in_range = [c for c, i in zip(coords, answers.index) if inside[i]]
+def _in_range(answers: PopAnswers, dots: Sequence[float], center: GeoCoord, range_km: float) -> list[GeoCoord]:
+    points = answers.distinct
+    inside = points.inside(dots, center, range_km)
+    in_range = [c for c, i in zip(answers.located, points.index) if inside[i]]
     if not in_range:
         raise ValueError("no located element within range")
     return in_range
@@ -123,20 +119,18 @@ def majority_vote_range(
     Returns (radius, True) on success, (max_radius_km, False) when even the
     final radius holds fewer than majority_fraction of the located elements.
     """
-    coords = _located(elements)
-    if not coords:
+    answers = PopAnswers([e.coord for e in elements])
+    if not answers.located:
         raise ValueError("majority vote needs at least one located element")
-    answers = DistinctPoints(coords)
-    return _majority_range(answers, answers.dots(center), center, cfg)
+    return _majority_range(answers, answers.distinct.dots(center), center, cfg)
 
 
 def refine_location(
     elements: Sequence[IpElement], center: GeoCoord, range_km: float
 ) -> GeoCoord:
     """Median of the located elements within range_km of center."""
-    coords = _located(elements)
-    answers = DistinctPoints(coords)
-    return coordinate_median(_in_range(coords, answers, answers.dots(center), center, range_km))
+    answers = PopAnswers([e.coord for e in elements])
+    return coordinate_median(_in_range(answers, answers.distinct.dots(center), center, range_km))
 
 
 def locate_answers(pop_id: str, answers: PopAnswers, cfg: VoteConfig) -> PoPLocation:
@@ -147,40 +141,28 @@ def locate_answers(pop_id: str, answers: PopAnswers, cfg: VoteConfig) -> PoPLoca
     centre, and every radius test around it reads one dots row.
     """
     total = len(answers.coords)
-    coords = answers.located
-    if not coords:
+    located = len(answers.located)
+    if not located:
         return PoPLocation(pop_id, None, None, 0.0, 0.0, False)
-    located = len(coords)
-    points = answers.distinct
-
-    center = answers.median
-    center_dots = answers.median_dots
-    found_range, found = _majority_range(points, center_dots, center, cfg)
-    if found:
-        in_range = _in_range(coords, points, center_dots, center, found_range)
-        if len(in_range) == located:  # every answer is in range: the median stays
-            coord, within = center, located
-        else:
-            coord = coordinate_median(in_range)
-            within = points.count_within_km(coord, found_range)
-        return PoPLocation(pop_id, coord, found_range, within / total, within / located, True)
-
-    # No majority anywhere: fall back to the largest group of votes. The
-    # median and every distinct located answer are candidate centers; the one
-    # covering the most located elements within the radius cap wins, ties
-    # broken by (lat, lon). Candidates with equal keys share their coordinate
-    # and so cover the same elements.
-    cap = cfg.max_radius_km
-    best_key = best = best_dots = None
-    for i, cand in enumerate([center] + points.points):
-        dots = points.point_dots(i - 1) if i else center_dots
-        key = (-points.counts_in(dots, cand, (cap,))[0], cand.lat, cand.lon)
-        if best_key is None or key < best_key:
-            best_key, best, best_dots = key, cand, dots
-    inside = points.inside(best_dots, best, cap)
-    coord = coordinate_median([c for c, i in zip(coords, points.index) if inside[i]])
-    within = points.count_within_km(coord, cap)
-    return PoPLocation(pop_id, coord, None, within / total, within / located, False)
+    center, dots = answers.median, answers.median_dots
+    range_km, found = _majority_range(answers, dots, center, cfg)
+    if not found:
+        # No majority anywhere, and range_km is the cap: of answers.candidates(),
+        # the centre covering the most located answers within it wins, ties
+        # broken by (lat, lon). Candidates with equal keys share their
+        # coordinate and so cover the same answers.
+        best_key = None
+        for cand, row in answers.candidates():
+            key = (-answers.distinct.counts_in(row, cand, (range_km,))[0], cand.lat, cand.lon)
+            if best_key is None or key < best_key:
+                best_key, center, dots = key, cand, row
+    in_range = _in_range(answers, dots, center, range_km)
+    if found and len(in_range) == located:  # every answer is in range: the median stays
+        coord, within = center, located
+    else:
+        coord = coordinate_median(in_range)
+        within = answers.distinct.count_within_km(coord, range_km)
+    return PoPLocation(pop_id, coord, range_km if found else None, within / total, within / located, found)
 
 
 def locate_elements(pop_id: str, elements: Sequence[IpElement], cfg: VoteConfig) -> PoPLocation:

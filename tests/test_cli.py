@@ -766,6 +766,29 @@ class TestOverrides:
         assert run(cfg, "synth") == 0
         assert (tmp / "observations.csv").read_bytes() != with_99
 
+    def test_synth_writes_the_vote_flags_into_run_ini(self, workdir):
+        tmp, cfg = workdir
+        assert run(cfg, "synth", "--step-km", "2.5", "--max-radius-km", "100") == 0
+        written = configparser.ConfigParser()
+        written.read(tmp / "run.ini", encoding="utf-8")
+        assert dict(written["vote"]) == {"step_km": "2.5", "max_radius_km": "100.0", "majority_fraction": "0.5"}
+
+    # each command accepts only the flags it reads
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, f) for c in ("extract", "sweep", "synth") for f in ("--with-singletons", "--null-coords-file=nulls.csv")]
+        + [(c, f) for c in ("extract", "sweep") for f in ("--step-km=2", "--max-radius-km=100")],
+    )
+    def test_a_flag_the_command_does_not_read_exits_2(self, workdir, capsys, command, flag):
+        tmp, cfg = workdir
+        assert run(cfg, "synth") == 0
+        before = read_tree(tmp)
+        with pytest.raises(SystemExit) as exc:
+            run(cfg, command, flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert read_tree(tmp) == before
+
     def test_correlation_null_sentinel_switch(self, workdir):
         tmp, cfg = workdir
         run(cfg, "synth")
@@ -995,6 +1018,34 @@ class TestStageModuleSets:
         # a quoted line is read by _csv, the C reader under csv, and reads as before
         assert "csv" not in loaded("extract", *config, "--set", "paths.observations=quoted.csv", "--out", "quoted")
         assert (tmp / "quoted" / "popmap_singletons.json").read_bytes() == (tmp / "popmap_singletons.json").read_bytes()
+
+    def test_no_stage_imports_ipaddress(self, workdir):
+        # -S skips site hooks, which on some machines import ipaddress before any stage runs. The
+        # probe records every module whose import statement names ipaddress, whether or not it is
+        # loaded already: on CPython 3.11 pathlib loads urllib.parse, which imports it, so
+        # sys.modules alone would not show a popgeo import of it
+        tmp, cfg = workdir
+        probe = (
+            "import builtins, sys; importers = set(); real = builtins.__import__\n"
+            "def spy(name, globals=None, *args, **kwargs):\n"
+            "    if name == 'ipaddress':\n"
+            "        importers.add((globals or {}).get('__name__'))\n"
+            "    return real(name, globals, *args, **kwargs)\n"
+            "builtins.__import__ = spy\n"
+            "from popgeo.cli import main; status = main(sys.argv[1:])\n"
+            "print(status, 'ipaddress' in sys.modules, sorted(importers))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        config = ["--config", str(cfg)]
+        for argv in (["synth", *config], ["extract", *config], ["locate", *config], ["evaluate", *config],
+                     ["sweep", *config, "--grid", "1,3"]):
+            done = subprocess.run(
+                [sys.executable, "-S", "-c", probe, *argv], cwd=tmp, env=env, capture_output=True, text=True, check=True
+            )
+            status, loaded, importers = done.stdout.split(" ", 2)
+            assert status == "0", argv[0]
+            assert importers.strip() in ("[]", "['urllib.parse']"), argv[0]
+            assert loaded == str(importers.strip() != "[]"), argv[0]
 
 
 class TestCollectorPolicy:

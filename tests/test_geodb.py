@@ -1,9 +1,12 @@
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, strategies as st
 
-from popgeo.geo import GeoCoord, haversine_km
+from popgeo.geo import DistinctPoints, GeoCoord, haversine_km
 from popgeo.geodb import (
     GeoRecord,
+    PopAnswers,
     load_null_coords,
     load_point_db,
     load_range_db,
@@ -207,3 +210,39 @@ class TestQueryDeterminism:
         db = load_range_db(rows, "t")
         ip = int_to_ip(16777216 + probe)  # inside 1.0.0.0/16
         assert db.query(ip) == db.query(ip)
+
+
+# answers from a few sites, so identical answers and nulls recur
+_SITE_ANSWERS = st.lists(
+    st.one_of(
+        st.none(),
+        st.sampled_from([GeoCoord(0.0, 0.0), GeoCoord(48.85, 2.35), GeoCoord(-33.9, 151.2), GeoCoord(89.9, -179.9)]),
+        st.builds(GeoCoord, st.floats(-90, 90), st.floats(-180, 180)),
+    ),
+    max_size=12,
+).filter(lambda coords: any(coords))
+
+
+class TestCandidates:
+    @given(_SITE_ANSWERS)
+    def test_the_median_then_every_distinct_answer(self, coords):
+        record = PopAnswers(coords)
+        distinct = record.distinct
+        (median, median_row), *rest = record.candidates()
+        assert median == record.median
+        assert median_row is record.median_dots
+        # each distinct located answer once, in first-seen order
+        assert [point for point, _ in rest] == list(dict.fromkeys(c for c in coords if c is not None))
+        for centre, row in [(median, median_row), *rest]:
+            assert repr(row) == repr(distinct.dots(centre))
+
+    @given(_SITE_ANSWERS, st.data())
+    def test_a_row_is_computed_only_when_the_scan_reaches_it(self, coords, data):
+        record = PopAnswers(coords)
+        k = data.draw(st.integers(1, len(record.distinct.points) + 1))
+        spy = patch.object(DistinctPoints, "point_dots", autospec=True, side_effect=DistinctPoints.point_dots)
+        with spy as point_dots:
+            scan = record.candidates()
+            for _ in range(k):  # the median's row is median_dots, so k candidates take k - 1 point rows
+                next(scan)
+        assert [call.args[1] for call in point_dots.call_args_list] == list(range(k - 1))

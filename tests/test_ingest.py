@@ -20,8 +20,10 @@ from popgeo.ingest import (
     read_edges,
     read_records,
     _middle,
+    _prefix_entry,
     write_records,
 )
+from popgeo.iputil import int_to_ip
 
 
 class TestParseObservations:
@@ -210,6 +212,42 @@ class TestReadEdges:
 _CLUSTERED_ADDRESSES = st.integers(0, 0x3FF).map(lambda low: 0x0A000000 | low)
 
 
+def _outcome_or_none(f):
+    try:
+        return f()
+    except ValueError:
+        return None
+
+
+# ip2as prefix spellings: dotted quads with odd parts, IPv6, and lengths with
+# leading zeros, signs, spaces, other scripts' digits or a second slash, but
+# never a dotted mask, which ip_network takes and ip2as refuses
+_OCTET = st.one_of(
+    st.just("0"),
+    st.integers(0, 255).map(str),
+    st.sampled_from(["00", "010", "256", "+1", "-0", " 1", "1 ", "", "\u0663"]),
+)
+_ADDRESS_TEXT = st.one_of(
+    st.lists(_OCTET, min_size=3, max_size=5).map(".".join),
+    st.sampled_from(["::", "::1", "2001:db8::", "::ffff:10.0.0.0", "10.0.0.0."]),
+)
+_LENGTH_TEXT = st.one_of(
+    st.integers(0, 40).map(str),
+    st.integers(0, 40).map("0{}".format),
+    st.sampled_from(["", "+8", "-0", " 8", "8 ", "8/8", "\u0668", "1_6", "0x8", "1e1"]),
+)
+
+
+def _cidr(value, length, aligned):
+    network = value >> (32 - length) << (32 - length)
+    return f"{int_to_ip(network if aligned else value)}/{length}"
+
+
+# well-formed prefixes, about half of them with host bits set
+_CIDR_TEXT = st.builds(_cidr, st.integers(0, 2**32 - 1), st.integers(0, 32), st.booleans())
+_PREFIX_TEXT = st.one_of(_CIDR_TEXT, _ADDRESS_TEXT, st.tuples(_ADDRESS_TEXT, _LENGTH_TEXT).map("/".join))
+
+
 class TestPrefixMap:
     def test_basic_lookup(self):
         pm = load_ip2as(["10.0.0.0/8,7018"])
@@ -235,6 +273,51 @@ class TestPrefixMap:
         assert len(pm) == 1
         with pytest.raises(ParseError):
             load_ip2as(["bad,1"], max_errors=0)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "10.0.0.0/8,-5",
+            "10.0.0.0/8,+5",
+            "10.0.0.0/8,1_000",
+            "10.0.0.0/8,\u0666\u0665\u0660\u0660\u0660",  # Arabic-Indic 65000, which int() reads
+            "10.0.0.0/8,4294967296",
+            "10.0.0.0/8,",
+            "10.0.0.0/8,1.5",
+            "10.0.0.0/255.0.0.0,1",  # a dotted netmask, which ipaddress.ip_network takes
+            "10.0.0.0/0.255.255.255,1",  # a dotted hostmask
+            "10.0.0.0/33,1",
+            "10.0.0.0/,1",
+            "10.0.0.0/8/8,1",
+            "::/0,1",
+        ],
+    )
+    def test_malformed_lines(self, line):
+        assert len(load_ip2as(["10.0.0.0/8,1", line], max_errors=1)) == 1
+        with pytest.raises(ParseError, match="^ip2as line 1: "):
+            load_ip2as([line], max_errors=0)
+
+    def test_asn_is_any_32_bit_number(self):
+        pm = load_ip2as(["10.0.0.0/8,4294967295", "11.0.0.0/8,0", "12.0.0.0/8,065000"])
+        assert [pm.lookup(ip) for ip in ("10.0.0.1", "11.0.0.1", "12.0.0.1")] == [4294967295, 0, 65000]
+
+    @example("10.0.0.0/024")
+    @example("10.0.0.1")
+    @example(" 10.0.0.0/8")
+    @example("010.0.0.0/8")
+    @given(_PREFIX_TEXT)
+    def test_prefix_agrees_with_ip_network(self, text):
+        def ours():
+            network, length, _ = _prefix_entry([text, "1"])
+            return network, length
+
+        def theirs():
+            net = ipaddress.ip_network(text)
+            if not isinstance(net, ipaddress.IPv4Network):
+                raise ValueError("IPv6")
+            return int(net.network_address), net.prefixlen
+
+        assert _outcome_or_none(ours) == _outcome_or_none(theirs)
 
     @given(
         st.lists(st.tuples(_CLUSTERED_ADDRESSES, st.integers(8, 32), st.integers(1, 4)), max_size=12),

@@ -298,6 +298,16 @@ class TestLocateElements:
         assert not loc.majority_found
         assert loc.coord == NEW_YORK  # lower latitude wins the 3:3 tie
 
+    def test_fallback_recentres_when_its_circle_holds_every_answer(self):
+        # no majority: (2.7, 1.5) lies 200.1 km from the median (0.9, 1.4), and
+        # all four are needed. The winning candidate (1.2, 1.3) covers all four
+        # within the 200 km cap, and the vote still re-centres on their median
+        answers = [GeoCoord(1.2, 1.3), GeoCoord(0.6, 0.3), GeoCoord(2.7, 1.5), GeoCoord(0.6, 1.8)]
+        cfg = VoteConfig(step_km=10.0, max_radius_km=200.0, majority_fraction=1.0)
+        loc = locate_elements("x", els(answers), cfg)
+        assert all(haversine_km(a, GeoCoord(1.2, 1.3)) <= 200.0 for a in answers)
+        assert loc == PoPLocation("x", coordinate_median(answers), None, 0.75, 0.75, False)
+
 
 class TestLocatePop:
     def _pop_and_dbs(self):
