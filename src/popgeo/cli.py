@@ -336,33 +336,85 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _table_loader(cfg: RunConfig, popmap: PopMap) -> Callable[[DbSpec], AnswerTable]:
+def _table_loader(
+    cfg: RunConfig, popmap: PopMap, handed: Mapping[tuple[str, Path], Mapping] = {}
+) -> Callable[[DbSpec], AnswerTable]:
     """A function from a database spec to its answer table over popmap.
 
     Each (kind, path) file is loaded and queried once, whichever spec names
-    it first; every later spec on the file gets that address -> coordinate
-    mapping, and the PoP records read from it, under its own name. The
-    null-coords file is read once, here. The loaders are read as this
-    module's attributes, where a caller may have replaced them.
+    it first, unless handed holds its address -> coordinate mapping already;
+    every later spec on the file gets that mapping, and the PoP records read
+    from it, under its own name. The null-coords file is read once, before
+    the first load. The loaders are read as this module's attributes, where
+    a caller may have replaced them.
     """
     from .geodb import AnswerTable, answer_table, load_null_coords
 
-    null_coords = None
-    if cfg.null_coords_file is not None:
+    @cache
+    def null_coords():
+        if cfg.null_coords_file is None:
+            return None
         with _open_input(cfg.null_coords_file, "null-coords file") as fh:
-            null_coords = load_null_coords(fh)
-    by_file: dict[tuple[str, Path], AnswerTable] = {}
+            return load_null_coords(fh)
+
+    by_file = {key: AnswerTable("", coords) for key, coords in handed.items()}
 
     def table(spec: DbSpec) -> AnswerTable:
         key = (spec.kind, spec.path)
         if key not in by_file:
             loader = getattr(sys.modules[__name__], f"load_{spec.kind}_db")
+            nulls = null_coords()
             with _open_input(spec.path, f"database {spec.name}") as fh:
-                by_file[key] = answer_table(loader(fh, spec.name, null_coords), popmap)
+                by_file[key] = answer_table(loader(fh, spec.name, nulls), popmap)
         first = by_file[key]
         return AnswerTable(spec.name, first.coords, first.records)
 
     return table
+
+
+def _db_files(cfg: RunConfig) -> dict[tuple[str, Path], list[str]]:
+    """Each distinct (kind, path) of [databases], in the order first named, with every name on it."""
+    files: dict[tuple[str, Path], list[str]] = {}
+    for spec in cfg.db_specs:
+        files.setdefault((spec.kind, spec.path), []).append(spec.name)
+    return files
+
+
+def _fingerprint(cfg: RunConfig, files: Mapping[tuple[str, Path], list[str]]) -> dict:
+    """What locate's answers and votes depend on: the SHA-256 of each input file, and the vote's settings."""
+    from .locate import file_sha256
+
+    def digest(path: Optional[Path], what: str) -> Optional[str]:
+        return None if path is None else file_sha256(_require_file(path, what))
+
+    return {
+        "popmap_singletons": digest(cfg.out_dir / "popmap_singletons.json", "PoP map"),
+        "databases": [
+            {"kind": kind, "names": names, "sha256": digest(path, f"database {names[0]}")}
+            for (kind, path), names in files.items()
+        ],
+        "null_coords": digest(cfg.null_coords_file, "null-coords file"),
+        "vote": vars(cfg.vote),
+        "with_singletons": cfg.with_singletons,
+    }
+
+
+def _read_handoff(cfg: RunConfig, popmap: PopMap) -> tuple[dict[tuple[str, Path], Mapping], Optional[dict]]:
+    """The answer tables by database file and the votes that locate handed over for these very inputs.
+
+    ({}, None) when the output directory holds no handoff, or one that any
+    input, setting or handed-over file no longer matches.
+    """
+    from .locate import read_handoff
+
+    files = _db_files(cfg)
+    names = [spec.name for spec in cfg.db_specs] + ["all"]
+    read = read_handoff(cfg.out_dir, lambda: _fingerprint(cfg, files), popmap.member_ips(), len(files), names)
+    if read is None:
+        return {}, None
+    log.info("answers and votes taken from locate's handoff in %s", cfg.out_dir)
+    tables, votes = read
+    return dict(zip(files, tables)), votes
 
 
 def _write_cdf_csv(path: Path, x_name: str, series: ev.CdfSeries) -> None:
@@ -430,18 +482,25 @@ def _agreements(cfg: RunConfig, popmap: PopMap, dbs) -> dict[str, dict[str, Opti
 
 
 def cmd_locate(cfg: RunConfig) -> int:
-    from .locate import save_locations
+    from .locate import save_locations, write_handoff
 
     if not cfg.db_specs:
         raise InputError("no databases configured")
     popmap_core, popmap_all = _load_popmaps(cfg)
     popmap = popmap_all if cfg.with_singletons else popmap_core
-    table = _table_loader(cfg, popmap)
+    # the answer tables are built over the singleton map, as evaluate builds them, so it can take them over
+    table = _table_loader(cfg, popmap_all)
     dbs = [table(spec) for spec in cfg.db_specs]
+    files = _db_files(cfg)
+    fingerprint = _fingerprint(cfg, files)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
-    for name, locs in _votes(cfg, popmap, dbs).items():
+    votes = _votes(cfg, popmap, dbs)
+    for name, locs in votes.items():
         save_locations(list(locs.values()), cfg.out_dir / f"locations_{name}.json")
+    firsts = {names[0] for names in files.values()}  # one table per file, in files' order
+    tables = [db.coords for db in dbs if db.name in firsts]
+    write_handoff(cfg.out_dir, fingerprint, tables, popmap_all.member_ips(), list(votes))
     log.info("located %d PoPs against %d databases", len(popmap.pops), len(dbs))
     return 0
 
@@ -515,14 +574,17 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     import json
 
     from . import evaluate as ev
+    from .locate import drop_handoff
 
     if not cfg.db_specs:
         raise InputError("no databases configured")
     # read and check every input before the first write, so a bad one leaves no partial bundle
     popmap_core, popmap_all = _load_popmaps(cfg)
     popmap = popmap_all if cfg.with_singletons else popmap_core
+    # locate's answers and votes, when it ran on these very inputs; else every file is loaded and every PoP voted
+    handed, votes = _read_handoff(cfg, popmap_all)
     # the answer tables are built over the singleton map and serve the core map too
-    table = _table_loader(cfg, popmap_all)
+    table = _table_loader(cfg, popmap_all, handed)
     dbs = [table(spec) for spec in cfg.db_specs]
     churn_pairs = [(label, table(old), table(new)) for label, old, new in cfg.churn_pairs]
     prefix_map = None
@@ -542,7 +604,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         log.warning("empty PoP maps; skipping null statistics")
         summary["null_stats"] = []
 
-    votes = _votes(cfg, popmap, dbs)
+    if votes is None:
+        votes = _votes(cfg, popmap, dbs)
     agreements = _agreements(cfg, popmap, dbs)
     deviations = _deviations(popmap, dbs, votes["all"])
     summary.update(_per_db_reports(cfg, popmap, dbs, votes, agreements, deviations, "", out))
@@ -587,6 +650,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             summary["regions"][region.name] = counters
 
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    drop_handoff(out)  # a finished bundle holds no handoff, whether this run read it or found it stale
     log.info("evaluation bundle written to %s", out)
     return 0
 

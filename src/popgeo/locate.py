@@ -11,20 +11,38 @@ centre is instead the candidate of PopAnswers.candidates() (the median, then
 each distinct answer) covering the most answers within the maximum, and the
 location is marked non-converged. Either way the location is then re-centred
 on the median of the in-range elements only, discarding far outliers.
+
+locate hands its work to evaluate through two files beside its locations:
+the answers of every database file over the singleton map, and a
+fingerprint of the inputs they came from with each handed-over file's
+SHA-256. evaluate reads them only when its own inputs give the same
+fingerprint.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .extract import MAX_RADII, PopMap, VoteConfig  # noqa: F401  (MAX_RADII: re-exported with VoteConfig)
 from .geo import GeoCoord, coordinate_median
 from .geodb import AnswerSource, PopAnswers
+from .ingest import INPUT_ENCODING, ParseError
+
+# the interpreter's own SHA-256: hashlib would load OpenSSL, which costs each
+# stage that imports it about 2.5 ms and 5 MB of peak RSS
+try:
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython up to 3.11
+    except ImportError:
+        from hashlib import sha256
 
 # tolerance when laying out the radius grid; keeps float division from
 # dropping the final step (555/1.11 lands just below 500)
@@ -215,16 +233,111 @@ def save_locations(locations: Sequence[PoPLocation], path) -> None:
     )
 
 
+def _locations(data: bytes, path) -> list[PoPLocation]:
+    try:
+        return [
+            PoPLocation(
+                row["pop_id"],
+                None if row["lat"] is None else GeoCoord(row["lat"], row["lon"]),
+                row["range_km"],
+                row["frac_all"],
+                row["frac_located"],
+                row["converged"],
+            )
+            for row in json.loads(data.decode(INPUT_ENCODING))
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed locations file {path}: {exc!r}") from exc
+
+
 def load_locations(path) -> list[PoPLocation]:
-    rows = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [
-        PoPLocation(
-            row["pop_id"],
-            None if row["lat"] is None else GeoCoord(row["lat"], row["lon"]),
-            row["range_km"],
-            row["frac_all"],
-            row["frac_located"],
-            row["converged"],
-        )
-        for row in rows
-    ]
+    """Read a file written by save_locations; a malformed file is a ParseError naming it."""
+    return _locations(Path(path).read_bytes(), path)
+
+
+HANDOFF = "handoff.json"
+HANDOFF_ANSWERS = "handoff_answers.bin"
+HANDOFF_FORMAT = "popgeo-handoff-1"
+
+
+def file_sha256(path) -> str:
+    digest = sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def pack_answers(coords: Mapping[str, Optional[GeoCoord]], ips: Sequence[str]) -> bytes:
+    """One table's coordinate of each of ips, as little-endian (lat, lon) doubles; NaN, NaN for a null reply."""
+    values: list[float] = []
+    for coord in map(coords.__getitem__, ips):
+        values += (math.nan, math.nan) if coord is None else (coord.lat, coord.lon)
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def unpack_answers(data: bytes, ips: Sequence[str], count: int) -> list[dict[str, Optional[GeoCoord]]]:
+    """count tables that pack_answers packed over ips, one after another; ValueError when data holds another number of answers."""
+    if len(data) != 16 * len(ips) * count:
+        raise ValueError(f"{len(data)} bytes do not hold {count} tables of {len(ips)} answers")
+    # a GeoCoord is never NaN, so NaN marks a null reply
+    coords = [None if lat != lat else GeoCoord(lat, lon) for lat, lon in struct.iter_unpack("<2d", data)]
+    n = len(ips)
+    return [dict(zip(ips, coords[i * n : (i + 1) * n])) for i in range(count)]
+
+
+def write_handoff(
+    out: Path, fingerprint: dict, tables: Sequence[Mapping[str, Optional[GeoCoord]]], ips: Sequence[str], names
+) -> None:
+    """Write the handoff: tables packed over ips, then the fingerprint with the digest of each handed-over file.
+
+    names are those of the locations_<name>.json files already written to out.
+    Each table is packed and written on its own, so only one is held as bytes.
+    """
+    digest = sha256()
+    with (out / HANDOFF_ANSWERS).open("wb") as fh:
+        for coords in tables:
+            packed = pack_answers(coords, ips)
+            fh.write(packed)
+            digest.update(packed)
+    files = {HANDOFF_ANSWERS: digest.hexdigest()}
+    files.update((f"locations_{name}.json", file_sha256(out / f"locations_{name}.json")) for name in names)
+    handoff = {"format": HANDOFF_FORMAT, "inputs": fingerprint, "files": files}
+    (out / HANDOFF).write_text(json.dumps(handoff, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def read_handoff(
+    out: Path, fingerprint: Callable[[], dict], ips: Sequence[str], count: int, names
+) -> Optional[tuple[list[dict[str, Optional[GeoCoord]]], dict[str, dict[str, PoPLocation]]]]:
+    """write_handoff's count tables over ips, and the locations of each of names keyed by PoP id.
+
+    None when out holds no handoff, or one whose format, fingerprint (called
+    only when there is a handoff), file list or any file's digest differs
+    from what these inputs give.
+    """
+    if not (out / HANDOFF).is_file():
+        return None
+    expected = [HANDOFF_ANSWERS, *(f"locations_{name}.json" for name in names)]
+    try:
+        handoff = json.loads((out / HANDOFF).read_bytes())
+        files = handoff["files"]
+        if handoff != {"format": HANDOFF_FORMAT, "inputs": fingerprint(), "files": files}:
+            return None
+        if sorted(files) != sorted(expected):
+            return None
+        data = {name: (out / name).read_bytes() for name in expected}
+        if any(sha256(data[name]).hexdigest() != files[name] for name in expected):
+            return None
+        tables = unpack_answers(data[HANDOFF_ANSWERS], ips, count)
+    except (OSError, ValueError, TypeError, KeyError):  # a missing or malformed handoff is one that differs
+        return None
+    votes = {}
+    for name in names:
+        path = out / f"locations_{name}.json"
+        votes[name] = {loc.pop_id: loc for loc in _locations(data[path.name], path)}
+    return tables, votes
+
+
+def drop_handoff(out: Path) -> None:
+    for name in (HANDOFF, HANDOFF_ANSWERS):
+        (out / name).unlink(missing_ok=True)

@@ -174,27 +174,168 @@ class TestDeterminism:
         assert first == second
 
 
+HANDOFF_FILES = ("handoff.json", "handoff_answers.bin")
+
+
+def _counting_votes_and_loads(monkeypatch) -> tuple[list, list]:
+    """Every PoP vote, as (pop id, database names), and every database file loaded, from here on."""
+    votes, loads = [], []
+    real_vote = popgeo.locate.locate_pop
+
+    def vote(pop, dbs, *args, **kwargs):
+        votes.append((pop.id, tuple(db.name for db in dbs)))
+        return real_vote(pop, dbs, *args, **kwargs)
+
+    def counting(real):
+        def load(lines, name, null_coords=None):
+            loads.append(Path(lines.name).name)
+            return real(lines, name, null_coords)
+
+        return load
+
+    monkeypatch.setattr(popgeo.locate, "locate_pop", vote)
+    for kind in ("point", "range"):
+        name = f"load_{kind}_db"
+        monkeypatch.setattr(popgeo.cli, name, counting(getattr(popgeo.cli, name)))
+    return votes, loads
+
+
 class TestVoteCount:
     def test_one_vote_per_pop_and_database_set(self, workdir, monkeypatch):
         tmp, cfg = workdir
         run(cfg, "synth")
         run(cfg, "extract")
         pops = load_popmap(tmp / "popmap_core.json").pops
-        calls = []
-        real = popgeo.locate.locate_pop
-
-        def counting(pop, dbs, *args, **kwargs):
-            calls.append((pop.id, tuple(db.name for db in dbs)))
-            return real(pop, dbs, *args, **kwargs)
-
-        monkeypatch.setattr(popgeo.locate, "locate_pop", counting)
+        calls, loads = _counting_votes_and_loads(monkeypatch)
         expected = len(pops) * (3 + 1)  # three databases plus the cross vote
         assert run(cfg, "locate") == 0
         assert len(calls) == expected
         calls.clear()
-        assert run(cfg, "evaluate") == 0  # regions europe,usa are configured
+        loads.clear()
+        assert run(cfg, "evaluate") == 0  # reads locate's handoff: no file loaded, no PoP voted
+        assert (calls, loads) == ([], [])
+        assert run(cfg, "evaluate") == 0  # the first evaluate consumed the handoff; regions europe,usa are configured
         assert len(calls) == expected
         assert len(set(calls)) == expected
+
+
+def _move_a_clean_answer(tmp: Path) -> None:
+    path = tmp / "db_clean.csv"
+    first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    ip, lat, lon = first.strip().split(",")
+    path.write_text(f"{ip},{float(lat) / 2},{lon}\n" + "".join(rest), encoding="utf-8")
+
+
+def _move_the_first_cross_vote(tmp: Path) -> None:
+    path = tmp / "locations_all.json"
+    rows = json.loads(path.read_text(encoding="utf-8"))
+    rows[0]["lat"] = 0.0
+    path.write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
+
+
+def _truncate(name: str):
+    def truncate(tmp: Path) -> None:
+        data = (tmp / name).read_bytes()
+        (tmp / name).write_bytes(data[: len(data) // 2])
+
+    return truncate
+
+
+def _null_coords(text: str):
+    def write(tmp: Path) -> None:
+        (tmp / "nulls.csv").write_text(text, encoding="utf-8")
+
+    return write
+
+
+def _re_extract(tmp: Path) -> None:
+    # above the links between same-AS PoPs: each AS is one PoP, over the same addresses
+    before = load_popmap(tmp / "popmap_singletons.json")
+    assert run(tmp / "config.ini", "extract", "--set", "extract.pop_max_delay_ms=35") == 0
+    after = load_popmap(tmp / "popmap_singletons.json")
+    assert after.member_ips() == before.member_ips() and len(after.pops) < len(before.pops)
+
+
+NULLS = ("--set", "paths.null_coords=nulls.csv")
+# (what changes between locate and evaluate, locate's extra flags, evaluate's extra flags)
+STALE_HANDOFFS = {
+    "database_bytes": (_move_a_clean_answer, (), ()),
+    "null_coords_file": (_null_coords("0,0\n"), NULLS, NULLS),
+    "step_km": (None, (), ("--step-km", "2.22")),
+    "with_singletons": (None, (), ("--with-singletons",)),
+    "re_extracted_map": (_re_extract, (), ()),
+    "hand_edited_locations": (_move_the_first_cross_vote, (), ()),
+    "truncated_locations": (_truncate("locations_all.json"), (), ()),
+    "truncated_answers": (_truncate("handoff_answers.bin"), (), ()),
+}
+
+
+class TestHandoff:
+    """evaluate reads locate's answers and votes only when they come from its very inputs, and leaves none behind."""
+
+    @pytest.fixture
+    def located(self, workdir):
+        """synth, extract and a null-coords file naming pinner's headquarters: everything locate reads."""
+        tmp, cfg = workdir
+        assert run(cfg, "synth") == 0
+        assert run(cfg, "extract") == 0
+        _null_coords("39.74,-104.98\n")(tmp)
+        return tmp, cfg
+
+    @pytest.fixture
+    def reference(self, tmp_path_factory):
+        def evaluated(tmp: Path, *evaluate_args) -> dict[str, bytes]:
+            """The tree after an evaluate on a copy of tmp without the handoff."""
+            ref = tmp_path_factory.mktemp("reference")
+            shutil.copytree(tmp, ref, dirs_exist_ok=True)
+            for name in HANDOFF_FILES:
+                (ref / name).unlink(missing_ok=True)
+            assert run(ref / "config.ini", "evaluate", *evaluate_args) == 0
+            return read_tree(ref)
+
+        return evaluated
+    def test_a_matching_handoff_is_read_and_consumed(self, located, reference, monkeypatch):
+        tmp, cfg = located
+        (tmp / "db_extra.csv").write_bytes((tmp / "db_noisy.csv").read_bytes())
+        churn = "[churn]\nsame = point:db_clean.csv,point:db_clean.csv\nsnapshot = point:db_noisy.csv,point:db_extra.csv\n"
+        cfg.write_text(cfg.read_text(encoding="utf-8").replace("[churn]\n", churn), encoding="utf-8")
+        assert run(cfg, "locate", *NULLS) == 0
+        assert all((tmp / name).is_file() for name in HANDOFF_FILES)
+        expected = reference(tmp, *NULLS)
+        votes, loads = _counting_votes_and_loads(monkeypatch)
+        assert run(cfg, "evaluate", *NULLS) == 0
+        # only the [churn] file outside [databases] is loaded
+        assert (votes, loads) == ([], ["db_extra.csv"])
+        assert read_tree(tmp) == expected
+        assert not any((tmp / name).exists() for name in HANDOFF_FILES)
+
+    @pytest.mark.parametrize("case", STALE_HANDOFFS)
+    def test_a_handoff_that_does_not_match_is_never_read(self, located, reference, monkeypatch, case):
+        tmp, cfg = located
+        change, locate_args, evaluate_args = STALE_HANDOFFS[case]
+        assert run(cfg, "locate", *locate_args) == 0
+        if change is not None:
+            change(tmp)
+        pops = load_popmap(tmp / "popmap_singletons.json").pops
+        expected = reference(tmp, *evaluate_args)
+        votes, loads = _counting_votes_and_loads(monkeypatch)
+        assert run(cfg, "evaluate", *evaluate_args) == 0
+        assert sorted(loads) == ["db_clean.csv", "db_noisy.csv", "db_pinner.csv"]
+        assert len(set(votes)) == len(votes) == len(pops) * (3 + 1)
+        assert read_tree(tmp) == expected
+
+    def test_a_failed_evaluate_leaves_the_handoff(self, located, monkeypatch):
+        tmp, cfg = located
+        assert run(cfg, "locate") == 0
+        (tmp / "regions.csv").write_text("everywhere,90,-90,-180,180\n", encoding="utf-8")  # south above north
+        regions = ("--set", "paths.regions=regions.csv", "--set", "evaluate.regions=everywhere")
+        before = read_tree(tmp)
+        assert run(cfg, "evaluate", *regions) == 1
+        assert read_tree(tmp) == before
+        (tmp / "regions.csv").write_text("everywhere,-90,90,-180,180\n", encoding="utf-8")
+        votes, loads = _counting_votes_and_loads(monkeypatch)
+        assert run(cfg, "evaluate", *regions) == 0
+        assert (votes, loads) == ([], [])
 
 
 class TestQueryCount:
@@ -1012,6 +1153,8 @@ class TestStageModuleSets:
             modules = loaded(*argv)
             assert {m for m in modules if m.startswith("popgeo")} == self.RUNS_NO_DATABASE, argv[0]
             assert not modules & {"statistics", "csv"}, argv[0]
+            # only locate and evaluate fingerprint their inputs
+            assert not modules & {"hashlib", "_hashlib", "_sha2", "_sha256"}, argv[0]
         assert "json" not in modules  # sweep writes no map
         assert "statistics" not in loaded("locate", *config)
         assert not loaded("evaluate", *config) & {"statistics", "fractions", "decimal"}

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from bisect import bisect_left
 
 import pytest
@@ -22,6 +23,7 @@ from popgeo.locate import (
     refine_location,
     save_locations,
 )
+from popgeo.ingest import ParseError
 
 from conftest import make_pop, make_popmap, point_db
 
@@ -482,3 +484,17 @@ class TestLocationSerialization:
         path = tmp_path / "locations.json"
         save_locations(locs, path)
         assert load_locations(path) == locs
+
+    def test_byte_order_mark_reads_as_the_plain_file(self, tmp_path):
+        locs = [PoPLocation("a", GeoCoord(1, 2), 1.11, 1.0, 1.0, True)]
+        path = tmp_path / "locations.json"
+        save_locations(locs, path)
+        path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+        assert load_locations(path) == locs
+
+    def test_row_without_a_key_is_a_parse_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "locations.json"
+        save_locations([PoPLocation("a", GeoCoord(1, 2), 1.11, 1.0, 1.0, True)], path)
+        path.write_text(path.read_text(encoding="utf-8").replace('"lon"', '"longitude"'), encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(f"malformed locations file {path}: KeyError('lon')")):
+            load_locations(path)

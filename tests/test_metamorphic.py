@@ -4,6 +4,7 @@ Each relation runs every stage through the CLI on a small synth fixture, once
 on the plain inputs and once on the changed ones, and compares the bundles.
 """
 
+import json
 import random
 import re
 import shutil
@@ -117,3 +118,80 @@ def test_address_shift_is_undone_by_shifting_the_outputs_back(plain, tmp_path):
     shifted = _bundle(tmp_path)
     assert shifted != bundle
     assert {name: _shift(text, -SHIFT) for name, text in shifted.items()} == bundle
+
+
+def _config(directory: Path, old: str, new: str) -> None:
+    path = directory / "config.ini"
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new), encoding="utf-8")
+
+
+def _own_outputs(bundle: dict[str, str], names) -> dict[str, object]:
+    """The outputs of names that read only their own answers: null statistics, convergence, agreement, anomalies.
+
+    Regional reports select their PoPs by the cross-database vote, so they are left out.
+    """
+    summary = json.loads(bundle["summary.json"])
+    anomalies = bundle["anomalies.csv"].splitlines()
+    own: dict[str, object] = {
+        "null_stats": [s for s in summary["null_stats"] if s["db_name"] in names],
+        "anomalies.csv": [anomalies[0], *(row for row in anomalies[1:] if row.split(",")[0] in names)],
+    }
+    for name in names:
+        stems = (f"locations_{name}.json", f"convergence_{name}.csv", f"agreement_{name}_100.csv", f"agreement_{name}_500.csv")
+        own.update((stem, bundle[stem]) for stem in stems)
+    return own
+
+
+def test_one_file_two_names_give_the_same_reports(plain, tmp_path):
+    seed, inputs, bundle = plain
+    shutil.copytree(inputs, tmp_path, dirs_exist_ok=True)
+    # the second name comes first, so the file is first named by it
+    _config(tmp_path, "[databases]\n", "[databases]\ntwin = point:db_clean.csv\n")
+    named = _bundle(tmp_path)
+    twins = [name for name in named if "_twin" in name]
+    # locations, then for the whole map and each region: convergence, agreement at two radii, deviation, scatter
+    assert len(twins) == 1 + 3 * 5
+    assert {name: named[name] for name in twins} == {name: named[name.replace("_twin", "_clean")] for name in twins}
+    databases = ("clean", "noisy", "pinner", "ranged")
+    assert _own_outputs(named, databases) == _own_outputs(bundle, databases)
+
+
+def test_a_database_added_leaves_the_others_own_reports(plain, tmp_path):
+    seed, inputs, bundle = plain
+    shutil.copytree(inputs, tmp_path, dirs_exist_ok=True)
+    # the pinner's answers mirrored across the equator: unrelated answers, the same nulls
+    rows = [line.split(",") for line in (tmp_path / "db_pinner.csv").read_text(encoding="utf-8").splitlines()]
+    mirrored = [f"{ip},{-float(lat)},{lon}" if lat else f"{ip},," for ip, lat, lon in rows]
+    (tmp_path / "db_mirror.csv").write_text("\n".join(mirrored) + "\n", encoding="utf-8")
+    _config(tmp_path, "[databases]\n", "[databases]\nmirror = point:db_mirror.csv\n")
+    added = _bundle(tmp_path)
+    assert any(row.startswith("mirror,") for row in added["anomalies.csv"].splitlines())
+    databases = ("clean", "noisy", "pinner", "ranged")
+    assert _own_outputs(added, databases) == _own_outputs(bundle, databases)
+
+
+def _as_ranges(point_path: Path, range_path: Path) -> None:
+    """Each point line as a one-address range, after covering /16 and /24 blocks at dummy coordinates.
+
+    The later per-address lines split the blocks, so every address answers as in the point file.
+    """
+    rows = [line.split(",") for line in point_path.read_text(encoding="utf-8").splitlines()]
+    octets = [ip.split(".") for ip, _, _ in rows]
+    blocks16 = sorted({(int(a), int(b)) for a, b, _, _ in octets})
+    blocks24 = sorted({(int(a), int(b), int(c)) for a, b, c, _ in octets})
+    lines = [f"{a}.{b}.0.0,{a}.{b}.255.255,ZZ,as-block,0.0,0.0" for a, b in blocks16]
+    lines += [f"{a}.{b}.{c}.0,{a}.{b}.{c}.255,ZZ,pop-block,1.0,1.0" for a, b, c in blocks24]
+    lines += [f"{ip},{ip},,,{lat},{lon}" for ip, lat, lon in rows]
+    range_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_point_and_range_files_agree(plain, tmp_path):
+    seed, inputs, bundle = plain
+    shutil.copytree(inputs, tmp_path, dirs_exist_ok=True)
+    for name in ("clean", "noisy", "pinner"):
+        _as_ranges(tmp_path / f"db_{name}.csv", tmp_path / f"blocks_{name}.csv")
+        _config(tmp_path, f"point:db_{name}.csv", f"range:blocks_{name}.csv")
+    assert "point:" not in (tmp_path / "config.ini").read_text(encoding="utf-8")
+    assert _bundle(tmp_path) == bundle
