@@ -372,21 +372,20 @@ def _table_loader(
     return table
 
 
-def _db_files(cfg: RunConfig) -> dict[tuple[str, Path], list[str]]:
-    """Each distinct (kind, path) of [databases], in the order first named, with every name on it."""
-    files: dict[tuple[str, Path], list[str]] = {}
-    for spec in cfg.db_specs:
-        files.setdefault((spec.kind, spec.path), []).append(spec.name)
-    return files
+def _handoff_inputs(cfg: RunConfig) -> dict:
+    """What locate's answers and votes depend on: the SHA-256 of each input file, and the vote's settings.
 
-
-def _fingerprint(cfg: RunConfig, files: Mapping[tuple[str, Path], list[str]]) -> dict:
-    """What locate's answers and votes depend on: the SHA-256 of each input file, and the vote's settings."""
+    Each distinct (kind, path) of [databases] is hashed once, in the order
+    first named, with every name on it.
+    """
     from .locate import file_sha256
 
     def digest(path: Optional[Path], what: str) -> Optional[str]:
         return None if path is None else file_sha256(_require_file(path, what))
 
+    files: dict[tuple[str, Path], list[str]] = {}
+    for spec in cfg.db_specs:
+        files.setdefault((spec.kind, spec.path), []).append(spec.name)
     return {
         "popmap_singletons": digest(cfg.out_dir / "popmap_singletons.json", "PoP map"),
         "databases": [
@@ -397,24 +396,6 @@ def _fingerprint(cfg: RunConfig, files: Mapping[tuple[str, Path], list[str]]) ->
         "vote": vars(cfg.vote),
         "with_singletons": cfg.with_singletons,
     }
-
-
-def _read_handoff(cfg: RunConfig, popmap: PopMap) -> tuple[dict[tuple[str, Path], Mapping], Optional[dict]]:
-    """The answer tables by database file and the votes that locate handed over for these very inputs.
-
-    ({}, None) when the output directory holds no handoff, or one that any
-    input, setting or handed-over file no longer matches.
-    """
-    from .locate import read_handoff
-
-    files = _db_files(cfg)
-    names = [spec.name for spec in cfg.db_specs] + ["all"]
-    read = read_handoff(cfg.out_dir, lambda: _fingerprint(cfg, files), popmap.member_ips(), len(files), names)
-    if read is None:
-        return {}, None
-    log.info("answers and votes taken from locate's handoff in %s", cfg.out_dir)
-    tables, votes = read
-    return dict(zip(files, tables)), votes
 
 
 def _write_cdf_csv(path: Path, x_name: str, series: ev.CdfSeries) -> None:
@@ -491,16 +472,15 @@ def cmd_locate(cfg: RunConfig) -> int:
     # the answer tables are built over the singleton map, as evaluate builds them, so it can take them over
     table = _table_loader(cfg, popmap_all)
     dbs = [table(spec) for spec in cfg.db_specs]
-    files = _db_files(cfg)
-    fingerprint = _fingerprint(cfg, files)
+    inputs = _handoff_inputs(cfg)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
     votes = _votes(cfg, popmap, dbs)
     for name, locs in votes.items():
         save_locations(list(locs.values()), cfg.out_dir / f"locations_{name}.json")
-    firsts = {names[0] for names in files.values()}  # one table per file, in files' order
-    tables = [db.coords for db in dbs if db.name in firsts]
-    write_handoff(cfg.out_dir, fingerprint, tables, popmap_all.member_ips(), list(votes))
+    # each distinct (kind, path) once: the names on one file share its table
+    tables = {(spec.kind, spec.path): db.coords for spec, db in zip(cfg.db_specs, dbs)}
+    write_handoff(cfg.out_dir, inputs, tables, popmap_all.member_ips(), list(votes))
     log.info("located %d PoPs against %d databases", len(popmap.pops), len(dbs))
     return 0
 
@@ -574,7 +554,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     import json
 
     from . import evaluate as ev
-    from .locate import drop_handoff
+    from .locate import drop_handoff, read_handoff
 
     if not cfg.db_specs:
         raise InputError("no databases configured")
@@ -582,7 +562,11 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     popmap_core, popmap_all = _load_popmaps(cfg)
     popmap = popmap_all if cfg.with_singletons else popmap_core
     # locate's answers and votes, when it ran on these very inputs; else every file is loaded and every PoP voted
-    handed, votes = _read_handoff(cfg, popmap_all)
+    files = list(dict.fromkeys((spec.kind, spec.path) for spec in cfg.db_specs))
+    names = [spec.name for spec in cfg.db_specs] + ["all"]
+    handed, votes = read_handoff(cfg.out_dir, lambda: _handoff_inputs(cfg), popmap_all.member_ips(), files, names)
+    if votes is not None:
+        log.info("answers and votes taken from locate's handoff in %s", cfg.out_dir)
     # the answer tables are built over the singleton map and serve the core map too
     table = _table_loader(cfg, popmap_all, handed)
     dbs = [table(spec) for spec in cfg.db_specs]

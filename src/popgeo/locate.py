@@ -13,10 +13,12 @@ location is marked non-converged. Either way the location is then re-centred
 on the median of the in-range elements only, discarding far outliers.
 
 locate hands its work to evaluate through two files beside its locations:
-the answers of every database file over the singleton map, and a
-fingerprint of the inputs they came from with each handed-over file's
-SHA-256. evaluate reads them only when its own inputs give the same
-fingerprint.
+the answers of every database file over the singleton map, and the
+handoff's key: a format tag, a fingerprint of the inputs the answers came
+from, and the SHA-256 of the answers file and of every locations file.
+_handoff_key builds it; write_handoff over the files it just wrote,
+read_handoff over the very bytes it then parses. evaluate takes the
+handoff only when the key it finds equals the one it builds.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import math
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -76,10 +79,7 @@ class PoPLocation:
     majority_found: bool
 
 
-# radius_grid's result per configuration, so the votes of a map share one grid
-_GRIDS: dict[VoteConfig, tuple[float, ...]] = {}
-
-
+@cache
 def radius_grid(cfg: VoteConfig) -> tuple[float, ...]:
     """The vote's radius schedule: step, 2*step, ... up to max_radius_km.
 
@@ -87,14 +87,11 @@ def radius_grid(cfg: VoteConfig) -> tuple[float, ...]:
     multiple still falls short of the cap by more than 1e-9 km, the cap
     itself is appended as the final radius. Built once per configuration.
     """
-    grid = _GRIDS.get(cfg)
-    if grid is None:
-        n = int((cfg.max_radius_km + _GRID_EPS_KM) / cfg.step_km)
-        steps = [k * cfg.step_km for k in range(1, n + 1)]
-        if not steps or steps[-1] < cfg.max_radius_km - _GRID_EPS_KM:
-            steps.append(cfg.max_radius_km)
-        grid = _GRIDS[cfg] = tuple(steps)
-    return grid
+    n = int((cfg.max_radius_km + _GRID_EPS_KM) / cfg.step_km)
+    steps = [k * cfg.step_km for k in range(1, n + 1)]
+    if not steps or steps[-1] < cfg.max_radius_km - _GRID_EPS_KM:
+        steps.append(cfg.max_radius_km)
+    return tuple(steps)
 
 
 def collect_elements(pop, dbs: Sequence[AnswerSource]) -> list[IpElement]:
@@ -257,7 +254,7 @@ def load_locations(path) -> list[PoPLocation]:
 
 HANDOFF = "handoff.json"
 HANDOFF_ANSWERS = "handoff_answers.bin"
-HANDOFF_FORMAT = "popgeo-handoff-1"
+HANDOFF_FORMAT = "popgeo-handoff-2"
 
 
 def file_sha256(path) -> str:
@@ -286,56 +283,58 @@ def unpack_answers(data: bytes, ips: Sequence[str], count: int) -> list[dict[str
     return [dict(zip(ips, coords[i * n : (i + 1) * n])) for i in range(count)]
 
 
+def _handoff_key(inputs: dict, names, digest: Callable[[str], str]) -> dict:
+    """What a handoff is valid for: its format, the inputs' fingerprint, and digest(file) of each handed-over file.
+
+    The files are handoff_answers.bin and the locations_<name>.json of each of names.
+    """
+    files = [HANDOFF_ANSWERS, *(f"locations_{name}.json" for name in names)]
+    return {"format": HANDOFF_FORMAT, "inputs": inputs, "files": {name: digest(name) for name in files}}
+
+
 def write_handoff(
-    out: Path, fingerprint: dict, tables: Sequence[Mapping[str, Optional[GeoCoord]]], ips: Sequence[str], names
+    out: Path, inputs: dict, tables: Mapping[object, Mapping[str, Optional[GeoCoord]]], ips: Sequence[str], names
 ) -> None:
-    """Write the handoff: tables packed over ips, then the fingerprint with the digest of each handed-over file.
+    """Write the handoff: the tables packed over ips in tables' order, then the key of the files just written.
 
     names are those of the locations_<name>.json files already written to out.
     Each table is packed and written on its own, so only one is held as bytes.
     """
-    digest = sha256()
     with (out / HANDOFF_ANSWERS).open("wb") as fh:
-        for coords in tables:
-            packed = pack_answers(coords, ips)
-            fh.write(packed)
-            digest.update(packed)
-    files = {HANDOFF_ANSWERS: digest.hexdigest()}
-    files.update((f"locations_{name}.json", file_sha256(out / f"locations_{name}.json")) for name in names)
-    handoff = {"format": HANDOFF_FORMAT, "inputs": fingerprint, "files": files}
-    (out / HANDOFF).write_text(json.dumps(handoff, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        for coords in tables.values():
+            fh.write(pack_answers(coords, ips))
+    key = _handoff_key(inputs, names, lambda name: file_sha256(out / name))
+    (out / HANDOFF).write_text(json.dumps(key, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def read_handoff(
-    out: Path, fingerprint: Callable[[], dict], ips: Sequence[str], count: int, names
-) -> Optional[tuple[list[dict[str, Optional[GeoCoord]]], dict[str, dict[str, PoPLocation]]]]:
-    """write_handoff's count tables over ips, and the locations of each of names keyed by PoP id.
+    out: Path, inputs: Callable[[], dict], ips: Sequence[str], keys: Sequence, names
+) -> tuple[dict[object, dict[str, Optional[GeoCoord]]], Optional[dict[str, dict[str, PoPLocation]]]]:
+    """write_handoff's tables over ips under keys, its tables' keys in order, and each of names' locations by PoP id.
 
-    None when out holds no handoff, or one whose format, fingerprint (called
-    only when there is a handoff), file list or any file's digest differs
-    from what these inputs give.
+    ({}, None) when out holds no handoff, or one whose key differs from the
+    key of these inputs (called only when there is a handoff), built over the
+    bytes read here, which are the ones parsed.
     """
     if not (out / HANDOFF).is_file():
-        return None
-    expected = [HANDOFF_ANSWERS, *(f"locations_{name}.json" for name in names)]
+        return {}, None
+    data: dict[str, bytes] = {}
+
+    def digest(name: str) -> str:
+        data[name] = (out / name).read_bytes()
+        return sha256(data[name]).hexdigest()
+
     try:
-        handoff = json.loads((out / HANDOFF).read_bytes())
-        files = handoff["files"]
-        if handoff != {"format": HANDOFF_FORMAT, "inputs": fingerprint(), "files": files}:
-            return None
-        if sorted(files) != sorted(expected):
-            return None
-        data = {name: (out / name).read_bytes() for name in expected}
-        if any(sha256(data[name]).hexdigest() != files[name] for name in expected):
-            return None
-        tables = unpack_answers(data[HANDOFF_ANSWERS], ips, count)
-    except (OSError, ValueError, TypeError, KeyError):  # a missing or malformed handoff is one that differs
-        return None
+        if json.loads((out / HANDOFF).read_bytes()) != _handoff_key(inputs(), names, digest):
+            return {}, None
+        tables = unpack_answers(data[HANDOFF_ANSWERS], ips, len(keys))
+    except (OSError, ValueError):  # a missing or malformed handoff is one that differs
+        return {}, None
     votes = {}
     for name in names:
         path = out / f"locations_{name}.json"
         votes[name] = {loc.pop_id: loc for loc in _locations(data[path.name], path)}
-    return tables, votes
+    return dict(zip(keys, tables)), votes
 
 
 def drop_handoff(out: Path) -> None:

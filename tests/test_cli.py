@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import warnings
@@ -256,6 +257,23 @@ def _re_extract(tmp: Path) -> None:
     assert after.member_ips() == before.member_ips() and len(after.pops) < len(before.pops)
 
 
+def _move_a_handed_answer(tmp: Path) -> None:
+    # the first answer's latitude halved: the same length, so only the answers digest tells
+    path = tmp / "handoff_answers.bin"
+    data = path.read_bytes()
+    lat, lon = struct.unpack_from("<2d", data)
+    changed = struct.pack("<2d", lat / 2, lon) + data[16:]
+    assert len(changed) == len(data) and changed != data
+    path.write_bytes(changed)
+
+
+def _handoff_json(text: str):
+    def write(tmp: Path) -> None:
+        (tmp / "handoff.json").write_text(text, encoding="utf-8")
+
+    return write
+
+
 NULLS = ("--set", "paths.null_coords=nulls.csv")
 # (what changes between locate and evaluate, locate's extra flags, evaluate's extra flags)
 STALE_HANDOFFS = {
@@ -267,6 +285,9 @@ STALE_HANDOFFS = {
     "hand_edited_locations": (_move_the_first_cross_vote, (), ()),
     "truncated_locations": (_truncate("locations_all.json"), (), ()),
     "truncated_answers": (_truncate("handoff_answers.bin"), (), ()),
+    "corrupted_answers": (_move_a_handed_answer, (), ()),
+    "handoff_json_list": (_handoff_json("[]\n"), (), ()),
+    "handoff_json_empty_object": (_handoff_json("{}\n"), (), ()),
 }
 
 
@@ -323,6 +344,21 @@ class TestHandoff:
         assert sorted(loads) == ["db_clean.csv", "db_noisy.csv", "db_pinner.csv"]
         assert len(set(votes)) == len(votes) == len(pops) * (3 + 1)
         assert read_tree(tmp) == expected
+
+    def test_one_file_under_two_names_is_handed_over_once(self, located, reference, monkeypatch):
+        tmp, cfg = located
+        twin = cfg.read_text(encoding="utf-8").replace("[databases]\n", "[databases]\ntwin = point:db_clean.csv\n")
+        cfg.write_text(twin, encoding="utf-8")
+        assert run(cfg, "locate") == 0
+        # one table per distinct file: clean, noisy and pinner
+        ips = load_popmap(tmp / "popmap_singletons.json").member_ips()
+        assert (tmp / "handoff_answers.bin").stat().st_size == 16 * len(ips) * 3
+        expected = reference(tmp)
+        votes, loads = _counting_votes_and_loads(monkeypatch)
+        assert run(cfg, "evaluate") == 0
+        assert (votes, loads) == ([], [])
+        assert read_tree(tmp) == expected
+        assert not any((tmp / name).exists() for name in HANDOFF_FILES)
 
     def test_a_failed_evaluate_leaves_the_handoff(self, located, monkeypatch):
         tmp, cfg = located
